@@ -35,6 +35,15 @@ retries failed instances under shuffled orders.  ``naive`` mode runs the same
 outer loop but gives up the moment a traversal is geometrically blocked,
 which is the baseline the benchmark harness compares against.
 
+Every push needs the nearest empty vertex and a lexicographically smallest
+shortest path to it.  Both come from one forward BFS from the pushed vertex,
+expanded a hop layer at a time and only as far as targets are consumed;
+targets come out by ``(hops, id)``.  The adjacency is sorted and the queue is
+FIFO, so each layer is discovered in the lexicographic order of its vertices'
+smallest paths, and each vertex's first discoverer is its parent on its
+lexicographically smallest shortest path: the parent map yields the very
+paths a reverse BFS from the target plus a greedy walk would.
+
 Every move the solver emits is legality-checked at application time, so a
 returned plan is valid by construction; failures roll the working state back
 transactionally.
@@ -43,6 +52,7 @@ transactionally.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from collections import deque
@@ -167,21 +177,34 @@ class GraphView:
         return GraphView(self.roadmap, self.removed | extra)
 
 
-def bfs_dists(view: GraphView, src: int, blocked: frozenset[int]) -> dict[int, int]:
-    """Hop counts from ``src`` over the view, never entering ``blocked``."""
+def _layers(
+    view: GraphView, src: int, blocked: frozenset[int]
+) -> Iterator[tuple[list[int], dict[int, int]]]:
+    """Forward BFS from ``src`` that never enters ``blocked``, expanded one
+    hop layer per step: yields each layer after ``src`` in discovery order
+    with the parent map so far (``src`` is its own parent)."""
     if src in blocked:
-        return {}
-    dists = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        d = dists[u] + 1
-        for w in view.neighbors(u):
-            if w in blocked or w in dists:
-                continue
-            dists[w] = d
-            queue.append(w)
-    return dists
+        return
+    parent = {src: src}
+    layer = [src]
+    while layer:
+        nxt = []
+        for u in layer:
+            for w in view.neighbors(u):
+                if w not in blocked and w not in parent:
+                    parent[w] = u
+                    nxt.append(w)
+        if nxt:
+            yield nxt, parent
+        layer = nxt
+
+
+def _path_to(parent: dict[int, int], v: int) -> list[int]:
+    path = [v]
+    while parent[v] != v:
+        v = parent[v]
+        path.append(v)
+    return path[::-1]
 
 
 def lex_shortest_path(
@@ -193,21 +216,10 @@ def lex_shortest_path(
         return None
     if src == dst:
         return [src]
-    to_dst = bfs_dists(view, dst, blocked)
-    if src not in to_dst:
-        return None
-    path = [src]
-    cur = src
-    while cur != dst:
-        step = to_dst[cur] - 1
-        for w in view.neighbors(cur):  # adjacency is sorted, so first hit wins
-            if w not in blocked and to_dst.get(w) == step:
-                path.append(w)
-                cur = w
-                break
-        else:  # pragma: no cover - BFS guarantees a predecessor exists
-            return None
-    return path
+    for _, parent in _layers(view, src, blocked):
+        if dst in parent:
+            return _path_to(parent, dst)
+    return None
 
 
 class Workspace:
@@ -409,6 +421,7 @@ class Workspace:
                 not_cleared.remove(v_p)
 
         if not_cleared:
+            log.debug("edge %s: vertices %s not cleared", (v_from, v_to), not_cleared)
             self.rollback(entry)
             return None
         return list(self.plan[entry:]), reverse_plan(rev_acc)
@@ -428,13 +441,12 @@ class Workspace:
         the traversal target."""
         v_from, v_to = edge
         g = view.without(self.cache.vertex_edges.get(v_to, frozenset()))
-        g, ok = self._push_off(
+        _, ok = self._push_off(
             g,
             v_prime,
             path_blocked=blocked | {v_from},
-            chain_blocked=blocked,
             acceptable=lambda v: v not in i_free,
-            depth=depth,
+            push=lambda g, path: self.push_along_path(g, path, blocked, depth),
         )
         return ok
 
@@ -494,6 +506,9 @@ class Workspace:
         e_blk = self.cache.vertex_edges.get(v_to, frozenset())
         empties_entry = self.empty_now()
 
+        def push_chain(g: GraphView, path: list[int]) -> Edge | None:
+            return self.push_along_path(g, path, blocked | {v_to}, depth)
+
         for n_v in sorted(view.neighbors(v_from)):
             if n_v in blocked or n_v == v_prime:
                 continue
@@ -505,9 +520,8 @@ class Workspace:
                     g,
                     n_v,
                     path_blocked=blocked | {v_from, v_to, v_prime},
-                    chain_blocked=blocked | {v_to},
                     acceptable=lambda v: v not in i_free and v != v_to,
-                    depth=depth,
+                    push=push_chain,
                 )
                 if not ok:
                     self.rollback(entry_n)
@@ -537,9 +551,8 @@ class Workspace:
                 g,
                 v_prime,
                 path_blocked=hold,
-                chain_blocked=blocked | {v_to},
                 acceptable=lambda v: v in empties_entry and v not in off_limits,
-                depth=depth,
+                push=push_chain,
             )
             if not ok:
                 self.rollback(entry_n)
@@ -564,39 +577,42 @@ class Workspace:
         g: GraphView,
         src: int,
         path_blocked: frozenset[int],
-        chain_blocked: frozenset[int],
         acceptable: Callable[[int], bool],
-        depth: int,
+        push: Callable[[GraphView, list[int]], Edge | None],
+        attempts: float = 16,
     ) -> tuple[GraphView, bool]:
-        """Try empty target vertices nearest-first; on a chain failure mask
-        the failing edge and re-search the path before giving the target up.
+        """Try empty target vertices nearest-first, pushing the chain from
+        ``src`` along each one's path; on a chain failure mask the failing
+        edge and re-search the path before giving the target up.
 
-        Total (target, path) executions are capped: past the cap the local
-        geometry is almost certainly unescapable and further attempts only
-        burn the time budget.
+        Targets come from one lazily expanded BFS, in ``(hops, id)`` order;
+        until an edge is masked its parent map gives the paths.  Total
+        (target, path) executions are capped: past the cap the local geometry
+        is almost certainly unescapable and further attempts only burn the
+        time budget.
         """
-        dists = bfs_dists(g, src, path_blocked)
-        candidates = sorted(
-            (d, v)
-            for v, d in dists.items()
-            if v != src and v not in self.at and acceptable(v)
-        )
-        attempts_left = 16
-        for _, eps in candidates:
-            while attempts_left > 0:
-                path = lex_shortest_path(g, src, eps, path_blocked)
-                if path is None:
-                    break
-                attempts_left -= 1
-                attempt = self.mark()
-                failed = self.push_along_path(g, path, chain_blocked, depth)
-                if failed is None:
-                    return g, True
-                self.rollback(attempt)
-                g = g.without((failed,))
-            if attempts_left <= 0:
-                break
-        return g, False
+        view = g
+        for layer, parent in _layers(g, src, path_blocked):
+            for eps in sorted(layer):
+                if eps in self.at or not acceptable(eps):
+                    continue
+                while attempts > 0:
+                    if view is g:
+                        path = _path_to(parent, eps)
+                    else:
+                        path = lex_shortest_path(view, src, eps, path_blocked)
+                        if path is None:
+                            break
+                    attempts -= 1
+                    attempt = self.mark()
+                    failed = push(view, path)
+                    if failed is None:
+                        return view, True
+                    self.rollback(attempt)
+                    view = view.without((failed,))
+                if attempts <= 0:
+                    return view, False
+        return view, False
 
 
 # -- outer loop -------------------------------------------------------------
@@ -612,8 +628,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     config = config or SolverConfig()
     if config.mode not in (LA, NAIVE):
         raise ValueError(f"unknown mode {config.mode!r}")
-    if config.time_limit <= 0:
-        raise ValueError("time_limit must be positive")
+    if not (math.isfinite(config.time_limit) and config.time_limit > 0):
+        raise ValueError("time_limit must be positive and finite")
     if config.recursion_limit < 1:
         raise ValueError("recursion_limit must be >= 1")
     report = validate_roadmap(instance)
@@ -783,7 +799,8 @@ def _plan_agent(
                 break
         if ws.pos[agent] == goal:
             return True
-    return ws.pos[agent] == goal
+    log.debug("agent %d given up at vertex %d, goal %d", agent, ws.pos[agent], goal)
+    return False
 
 
 def _traverse(ws: Workspace, base: GraphView, u: int, v: int, mode: str) -> bool:
@@ -813,6 +830,12 @@ def _outer_push(
     shoving it backwards too; the caller notices its new position and
     replans.  Locked agents' vertices are off-limits unless ``disturb``.
     """
+
+    def push(g: GraphView, path: list[int]) -> Edge | None:
+        if mode == NAIVE:
+            return _chain_push_naive(ws, path)
+        return ws.push_along_path(g, path, frozenset(), depth=0)
+
     tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
     tried: set[frozenset[int]] = set()
     for avoid in tiers:
@@ -824,39 +847,8 @@ def _outer_push(
         if key in tried:
             continue
         tried.add(key)
-        if _outer_push_once(ws, base, head, key, mode):
+        if ws._push_off(base, head, key, lambda v: True, push, math.inf)[1]:
             return True
-    return False
-
-
-def _outer_push_once(
-    ws: Workspace,
-    base: GraphView,
-    head: int,
-    path_blocked: frozenset[int],
-    mode: str,
-) -> bool:
-    g = base
-    entry = ws.mark()
-    dists = bfs_dists(g, head, path_blocked)
-    candidates = sorted(
-        (d, v) for v, d in dists.items() if v != head and v not in ws.at
-    )
-    for _, eps in candidates:
-        while True:
-            path = lex_shortest_path(g, head, eps, path_blocked)
-            if path is None:
-                break
-            attempt = ws.mark()
-            if mode == NAIVE:
-                failed = _chain_push_naive(ws, path)
-            else:
-                failed = ws.push_along_path(g, path, frozenset(), depth=0)
-            if failed is None:
-                return True
-            ws.rollback(attempt)
-            g = g.without((failed,))
-    ws.rollback(entry)
     return False
 
 

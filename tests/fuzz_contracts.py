@@ -11,7 +11,7 @@ import random
 
 from helpers import fuzz_instance
 from mapfla.model import State, apply_move
-from mapfla.solver import GraphView, Workspace, bfs_dists, lex_shortest_path
+from mapfla.solver import GraphView, Workspace, _layers, lex_shortest_path
 from mapfla.validator import is_valid_transition
 
 
@@ -86,7 +86,8 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
             src = rng.choice(occupied)
             empties = [
                 v
-                for v, d in bfs_dists(base, src, frozenset()).items()
+                for layer, _ in _layers(base, src, frozenset())
+                for v in layer
                 if v not in ws.at
             ]
             if not empties:

@@ -91,6 +91,18 @@ def test_agents_zero_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_time_limit_is_usage_error(tmp_path, capsys):
+    inst = ordering_instance()
+    map_path, scen_path = write_fixture(tmp_path, inst, "order")
+    for value in ("nan", "inf", "-inf"):
+        code = main(
+            ["solve", "--map", str(map_path), "--scen", str(scen_path),
+             f"--time-limit={value}"]
+        )
+        assert code == 1
+        assert "time_limit must be positive and finite" in capsys.readouterr().err
+
+
 def test_agents_flag_truncates(tmp_path, capsys):
     inst = ordering_instance()
     map_path, scen_path = write_fixture(tmp_path, inst, "order")

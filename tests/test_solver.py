@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from helpers import (
@@ -107,6 +109,16 @@ def test_case3_instance_still_solvable_by_outer_replanning():
         assert validate_plan(case3_instance(), result.plan).ok
 
 
+def test_trace_log_names_the_uncleared_edge_and_the_given_up_agent(caplog):
+    # Agent 0 on vertex 0 needs edge (0, 1); agent 1 on vertex 2 interferes
+    # and can escape only through vertex 1.
+    caplog.set_level(logging.DEBUG, logger="mapfla.solver")
+    assert solve(case3_instance(), cfg()).status == FAILED
+    debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert "edge (0, 1): vertices [2] not cleared" in debug
+    assert debug[-1] == "agent 0 given up at vertex 0, goal 1"
+
+
 def test_solved_plans_validate_fuzz():
     solved = 0
     for seed in range(120):
@@ -149,6 +161,9 @@ def test_config_validation():
         solve(inst, cfg(mode="fancy"))
     with pytest.raises(ValueError):
         solve(inst, SolverConfig(time_limit=0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            solve(inst, SolverConfig(time_limit=bad))
     with pytest.raises(ValueError):
         solve(inst, cfg(recursion_limit=0))
     with pytest.raises(ValueError):

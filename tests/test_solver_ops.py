@@ -308,6 +308,16 @@ def test_lex_shortest_path_prefers_smallest_ids():
     assert lex_shortest_path(GraphView(rm), 0, 3, frozenset({1, 2})) is None
 
 
+def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
+    # 0-1-4-5 and 0-2-3-5 tie; vertex 3 < 4, but the path through 1 is smaller
+    from mapfla.model import make_roadmap
+
+    rm = make_roadmap(
+        [(i, 0) for i in range(6)], [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
+    )
+    assert lex_shortest_path(GraphView(rm), 0, 5, frozenset()) == [0, 1, 4, 5]
+
+
 # -- fuzzed contracts (smoke scale; acceptance runs these big) --------------------
 
 
