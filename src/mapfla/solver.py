@@ -182,7 +182,8 @@ def _layers(
 ) -> Iterator[tuple[list[int], dict[int, int]]]:
     """Forward BFS from ``src`` that never enters ``blocked``, expanded one
     hop layer per step: yields each layer after ``src`` in discovery order
-    with the parent map so far (``src`` is its own parent)."""
+    with the parent map so far (``src`` is its own parent).  The next layer
+    is expanded from the yielded list, so callers must not reorder it."""
     if src in blocked:
         return
     parent = {src: src}
@@ -586,10 +587,12 @@ class Workspace:
         edge and re-search the path before giving the target up.
 
         Targets come from one lazily expanded BFS, in ``(hops, id)`` order;
-        until an edge is masked its parent map gives the paths.  Total
-        (target, path) executions are capped: past the cap the local geometry
-        is almost certainly unescapable and further attempts only burn the
-        time budget.
+        until an edge is masked its parent map gives the paths.  ``push``
+        moves the chain along a path and returns the edge it failed on, or
+        None.  Total (target, path) executions are capped at ``attempts``:
+        inside the clearing stack, past the default cap the local geometry is
+        almost certainly unescapable and further attempts only burn the time
+        budget.  The outer loop passes ``math.inf``.
         """
         view = g
         for layer, parent in _layers(g, src, path_blocked):
