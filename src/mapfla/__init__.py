@@ -21,14 +21,10 @@ from .solver import (
     NAIVE,
     SOLVED,
     TIMEOUT,
-    EdgeContext,
-    GraphView,
     InvalidInstanceError,
     SolveResult,
     SolverConfig,
     SolveStats,
-    Workspace,
-    reverse_plan,
     solve,
 )
 from .validator import PlanReport, is_valid_transition, validate_plan
@@ -37,13 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EPS",
-    "EdgeContext",
     "FAILED",
     "LA",
     "NAIVE",
     "SOLVED",
     "TIMEOUT",
-    "GraphView",
     "Instance",
     "InterferenceCache",
     "InvalidInstanceError",
@@ -56,7 +50,6 @@ __all__ = [
     "SolveStats",
     "SolverConfig",
     "State",
-    "Workspace",
     "apply_move",
     "build_interference",
     "dist",
@@ -64,7 +57,6 @@ __all__ = [
     "is_valid_transition",
     "joint_bfs_solve",
     "make_roadmap",
-    "reverse_plan",
     "segdist",
     "solve",
     "validate_plan",

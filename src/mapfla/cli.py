@@ -60,31 +60,14 @@ def _parse_n_range(spec: str) -> list[int]:
 
 def _load_instance(map_path: str, scen_path: str, agents: int | None) -> Instance:
     roadmap, radius = fileio.load_roadmap(map_path)
-    _, pairs = fileio.load_scenario(scen_path)
-    if agents is not None:
-        if agents < 1:
-            raise _UsageError("--agents must be >= 1")
-        if agents > len(pairs):
-            raise _UsageError(
-                f"scenario has {len(pairs)} start/goal pairs, --agents asked for {agents}"
-            )
-        pairs = pairs[:agents]
-    return Instance(
-        roadmap=roadmap,
-        radius=radius,
-        starts=tuple(s for s, _ in pairs),
-        goals=tuple(g for _, g in pairs),
-    )
+    name, pairs = fileio.load_scenario(scen_path)
+    scenario = harness.Scenario(name, pairs)
+    return harness.instance_from_scenario(roadmap, radius, scenario, agents)
 
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.map, args.scen, args.agents)
-    config = SolverConfig(
-        mode=args.mode,
-        order=args.order,
-        time_limit=args.time_limit,
-        recursion_limit=args.recursion_limit,
-    )
+    config = SolverConfig(mode=args.mode, order=args.order, time_limit=args.time_limit)
     result = solve(instance, config)
     moves = result.stats.moves
     print(f"status={result.status} moves={moves} ms={result.stats.elapsed * 1e3:.1f}")
@@ -141,7 +124,6 @@ def cmd_bench(args) -> int:
         n_values,
         args.time_limit,
         jobs=args.jobs,
-        recursion_limit=args.recursion_limit,
     )
     csv_text = report.to_csv()
     if args.out:
@@ -165,7 +147,6 @@ def _add_solver_flags(p) -> None:
     p.add_argument("--order", default="index",
                    help="index | perm:<ids> | random-restarts:<k>:<seed>")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--recursion-limit", type=int, default=8)
 
 
 def _build_parser() -> _Parser:
@@ -203,7 +184,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--modes", default="la,naive")
     p.add_argument("--n", default="2..40", help="agent counts, e.g. 2..40 or 8")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--recursion-limit", type=int, default=8)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -221,9 +221,9 @@ def instance_from_scenario(
     roadmap: Roadmap, radius: float, scenario: Scenario, n: int | None = None
 ) -> Instance:
     """Instance over the first ``n`` pairs of the scenario (all by default)."""
+    if n is not None and not 1 <= n <= len(scenario.pairs):
+        raise ValueError(f"agent count must be in 1..{len(scenario.pairs)}, got {n}")
     pairs = scenario.pairs if n is None else scenario.pairs[:n]
-    if n is not None and n > len(scenario.pairs):
-        raise ValueError(f"scenario has only {len(scenario.pairs)} pairs, need {n}")
     return Instance(
         roadmap=roadmap,
         radius=radius,
@@ -270,11 +270,9 @@ class BenchReport:
 
 
 def _run_one(args) -> tuple[str, float]:
-    roadmap, radius, scenario, n, mode, time_limit, recursion_limit, order = args
+    roadmap, radius, scenario, n, mode, time_limit, order = args
     instance = instance_from_scenario(roadmap, radius, scenario, n)
-    config = SolverConfig(
-        mode=mode, order=order, time_limit=time_limit, recursion_limit=recursion_limit
-    )
+    config = SolverConfig(mode=mode, order=order, time_limit=time_limit)
     started = time.perf_counter()
     result = solve(instance, config)
     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -293,7 +291,6 @@ def run_bench(
     time_limit: float,
     *,
     jobs: int = 1,
-    recursion_limit: int = 8,
     order: str | tuple[int, ...] = "index",
 ) -> BenchReport:
     """Run the full (roadmap x mode x n x scenario) grid and aggregate.
@@ -309,8 +306,7 @@ def run_bench(
             for n in n_values:
                 for si, scenario in enumerate(scenarios[name]):
                     tasks.append(
-                        (roadmap, radius, scenario, n, mode, time_limit,
-                         recursion_limit, order)
+                        (roadmap, radius, scenario, n, mode, time_limit, order)
                     )
                     task_keys.append((name, mode, n, si))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import Instance, Plan, State
+from .model import Instance, Plan, State, apply_move
 
 _MARGIN = 2.0
 
@@ -102,19 +102,19 @@ def render_frame(
 
 
 def render_plan(instance: Instance, plan: Plan, out_dir: str | Path) -> list[Path]:
-    """Write ``len(plan) + 1`` frames to ``out_dir``; returns the paths."""
+    """Write ``len(plan) + 1`` frames to ``out_dir``; returns the paths.
+
+    Raises ``ValueError``, before writing anything, if a move does not start
+    at its agent's vertex or ends on an occupied one."""
+    states = [State(instance.starts)]
+    for m in plan:
+        states.append(apply_move(states[-1], m))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = State(instance.starts)
     written: list[Path] = []
-    for i in range(len(plan) + 1):
+    for i, state in enumerate(states):
         marker = i if i < len(plan) else None
         path = out / f"frame_{i:04d}.svg"
         path.write_text(render_frame(instance, state, marker, plan), encoding="utf-8")
         written.append(path)
-        if i < len(plan):
-            m = plan[i]
-            positions = list(state.positions)
-            positions[m.agent] = m.dst
-            state = State(tuple(positions))
     return written

@@ -31,9 +31,10 @@ shortest paths to their goals one at a time, shoving blocking agents into
 empty vertices (each shove itself made of ``move_la`` traversals), locking
 finished agents in place, and, as a last resort, displacing locked agents
 and re-planning them afterwards.  Agent order matters; ``random-restarts``
-retries failed instances under shuffled orders.  ``naive`` mode runs the same
-outer loop but gives up the moment a traversal is geometrically blocked,
-which is the baseline the benchmark harness compares against.
+retries failed instances under shuffled orders.  ``naive`` mode is the same
+loop with a plain single-edge step (``Workspace.step``) in place of
+``move_la``: it clears no interference, and a blocked traversal halts the
+attempt.  It is the baseline the benchmark harness compares against.
 
 Every push needs the nearest empty vertex and a lexicographically smallest
 shortest path to it.  Both come from one forward BFS from the pushed vertex,
@@ -69,6 +70,7 @@ from .model import (
     State,
     build_interference,
     edge_key,
+    empty_vertices,
     validate_roadmap,
 )
 
@@ -80,6 +82,9 @@ NAIVE = "naive"
 SOLVED = "solved"
 FAILED = "failed"
 TIMEOUT = "timeout"
+
+# Deepest nesting of ``move_la`` inside its own clearing pushes.
+MAX_DEPTH = 8
 
 
 class InvalidInstanceError(ValueError):
@@ -105,7 +110,6 @@ class SolverConfig:
     # or an explicit permutation tuple.
     order: str | tuple[int, ...] = "index"
     time_limit: float = 30.0
-    recursion_limit: int = 8
 
 
 @dataclass
@@ -122,22 +126,6 @@ class SolveResult:
     status: str  # solved | failed | timeout
     plan: Plan | None
     stats: SolveStats
-
-
-@dataclass(frozen=True)
-class EdgeContext:
-    """Clearing context for one directed traversal: the edge, the externally
-    blocked vertices, the edge's interference set and its unoccupied part."""
-
-    v_from: int
-    v_to: int
-    blocked: frozenset[int]
-    interferers: frozenset[int]
-    free_interferers: frozenset[int]
-
-    @property
-    def edge(self) -> Edge:
-        return edge_key(self.v_from, self.v_to)
 
 
 def reverse_plan(plan: Plan) -> Plan:
@@ -167,8 +155,8 @@ class GraphView:
         return tuple(w for w in base if w not in gone)
 
     def has_edge(self, u: int, v: int) -> bool:
-        k = edge_key(u, v)
-        return k in self.roadmap.edge_set and k not in self.removed
+        masked = self._masked.get(u, ())
+        return edge_key(u, v) in self.roadmap.edge_set and v not in masked
 
     def without(self, edges) -> "GraphView":
         extra = frozenset(edges)
@@ -237,14 +225,14 @@ class Workspace:
         instance: Instance,
         cache: InterferenceCache | None = None,
         *,
-        recursion_limit: int = 8,
+        mode: str = LA,
         deadline: float | None = None,
     ):
         self.instance = instance
         self.cache = cache if cache is not None else build_interference(
             instance.roadmap, instance.radius
         )
-        self.recursion_limit = recursion_limit
+        self.mode = mode
         self.deadline = deadline
         self.pos: list[int] = list(instance.starts)
         self.at: dict[int, int] = {v: a for a, v in enumerate(instance.starts)}
@@ -253,9 +241,6 @@ class Workspace:
         self._la_countdown: int | None = None
 
     # -- bookkeeping ------------------------------------------------------
-
-    def state(self) -> State:
-        return State(tuple(self.pos))
 
     def mark(self) -> int:
         return len(self.plan)
@@ -276,45 +261,20 @@ class Workspace:
         None removes the bound.  Exhaustion makes traversals fail cleanly."""
         self._la_countdown = calls
 
-    def empty_now(self) -> frozenset[int]:
-        return frozenset(
-            v for v in range(self.instance.roadmap.n_vertices) if v not in self.at
-        )
-
-    def edge_context(
-        self, v_from: int, v_to: int, blocked: frozenset[int]
-    ) -> EdgeContext:
-        interferers = self.cache.edge_vertices.get(
-            edge_key(v_from, v_to), frozenset()
-        )
-        return EdgeContext(
-            v_from=v_from,
-            v_to=v_to,
-            blocked=blocked,
-            interferers=interferers,
-            free_interferers=frozenset(v for v in interferers if v not in self.at),
-        )
-
     # -- checked moves ----------------------------------------------------
 
-    def transition_ok(self, agent: int, u: int, v: int) -> bool:
+    def try_move(self, agent: int, u: int, v: int) -> bool:
         if self.pos[agent] != u or v in self.at:
             return False
-        e = edge_key(u, v)
-        interferers = self.cache.edge_vertices.get(e)
+        interferers = self.cache.edge_vertices.get(edge_key(u, v))
         if interferers is None:  # not an edge of the roadmap
             return False
         at = self.at
         for w in interferers:
             if w in at:
                 return False
-        return True
-
-    def try_move(self, agent: int, u: int, v: int) -> bool:
-        if not self.transition_ok(agent, u, v):
-            return False
-        del self.at[u]
-        self.at[v] = agent
+        del at[u]
+        at[v] = agent
         self.pos[agent] = v
         self.plan.append(Move(agent, u, v))
         return True
@@ -325,6 +285,19 @@ class Workspace:
         if agent is None:
             return False
         return self.try_move(agent, u, v)
+
+    @property
+    def step(self) -> Callable[..., bool]:
+        """The single-edge traversal of ``mode``: ``move_la``, or a plain move
+        that halts the attempt when blocked.  Stored on the instance instead,
+        the bound method would make each Workspace a reference cycle that
+        only the cyclic garbage collector frees."""
+        return self._naive_step if self.mode == NAIVE else self.move_la
+
+    def _naive_step(self, view: GraphView, u: int, v: int, *_) -> bool:
+        if self.traverse_edge_naive(u, v):
+            return True
+        raise _NaiveHalt()
 
     # -- clearing procedures ----------------------------------------------
 
@@ -348,7 +321,7 @@ class Workspace:
             if self._la_countdown <= 0:
                 return False
             self._la_countdown -= 1
-        if depth > self.recursion_limit:
+        if depth > MAX_DEPTH:
             return False
         if not view.has_edge(v_from, v_to):
             return False
@@ -388,12 +361,12 @@ class Workspace:
         """
         entry = self.mark()
         mover = self.at[v_from]
-        ctx = self.edge_context(v_from, v_to, blocked)
-        i_free = set(ctx.free_interferers)
+        interferers = self.cache.edge_vertices.get(edge_key(v_from, v_to), frozenset())
+        i_free = {v for v in interferers if v not in self.at}
         rev_acc: list[Move] = []
         not_cleared: list[int] = []
 
-        for v_p in sorted(ctx.interferers - ctx.free_interferers):
+        for v_p in sorted(interferers - i_free):
             if v_p not in self.at:
                 i_free.add(v_p)
                 continue
@@ -442,14 +415,13 @@ class Workspace:
         the traversal target."""
         v_from, v_to = edge
         g = view.without(self.cache.vertex_edges.get(v_to, frozenset()))
-        _, ok = self._push_off(
+        return self._push_off(
             g,
             v_prime,
             path_blocked=blocked | {v_from},
             acceptable=lambda v: v not in i_free,
             push=lambda g, path: self.push_along_path(g, path, blocked, depth),
-        )
-        return ok
+        )[1]
 
     def push_along_path(
         self,
@@ -462,7 +434,7 @@ class Workspace:
         tail, last agent first; the tail must be empty.
 
         Frees the head; path vertices that were empty stay empty.  Each
-        individual shift is a ``move_la`` one level deeper.  Returns None on
+        individual shift is a ``step`` one level deeper.  Returns None on
         success, else the edge whose traversal failed (state restored).
         """
         if len(path) < 2:
@@ -474,7 +446,7 @@ class Workspace:
         target = len(path) - 1
         for i in reversed(occupied_idx):
             for j in range(i, target):
-                if not self.move_la(view, path[j], path[j + 1], blocked, depth + 1):
+                if not self.step(view, path[j], path[j + 1], blocked, depth + 1):
                     failed = (path[j], path[j + 1])
                     self.rollback(entry)
                     return failed
@@ -505,7 +477,7 @@ class Workspace:
         if a_prime is None or mover is None:
             return None
         e_blk = self.cache.vertex_edges.get(v_to, frozenset())
-        empties_entry = self.empty_now()
+        empties_entry = empty_vertices(State(tuple(self.pos)), self.instance.roadmap)
 
         def push_chain(g: GraphView, path: list[int]) -> Edge | None:
             return self.push_along_path(g, path, blocked | {v_to}, depth)
@@ -633,8 +605,6 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         raise ValueError(f"unknown mode {config.mode!r}")
     if not (math.isfinite(config.time_limit) and config.time_limit > 0):
         raise ValueError("time_limit must be positive and finite")
-    if config.recursion_limit < 1:
-        raise ValueError("recursion_limit must be >= 1")
     report = validate_roadmap(instance)
     if not report.ok:
         raise InvalidInstanceError(report.issues)
@@ -657,15 +627,10 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         return SolveResult(status, plan, total)
 
     for order in _orderings(config, instance.n_agents):
-        ws = Workspace(
-            instance,
-            cache,
-            recursion_limit=config.recursion_limit,
-            deadline=deadline,
-        )
+        ws = Workspace(instance, cache, mode=config.mode, deadline=deadline)
         total.attempts += 1
         try:
-            ok = _solve_single_order(ws, order, config.mode)
+            ok = _solve_single_order(ws, order)
         except _NaiveHalt:
             ok = False
         except _TimeUp:
@@ -724,7 +689,7 @@ def _require_permutation(perm: tuple[int, ...], k: int) -> None:
         raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
 
 
-def _solve_single_order(ws: Workspace, order: tuple[int, ...], mode: str) -> bool:
+def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
     instance = ws.instance
     base = GraphView(instance.roadmap)
     locked: dict[int, int] = {}  # finished agent -> its goal vertex
@@ -733,7 +698,7 @@ def _solve_single_order(ws: Workspace, order: tuple[int, ...], mode: str) -> boo
     while queue:
         ws.check_time()
         agent = queue.popleft()
-        if not _plan_agent(ws, base, agent, locked, mode):
+        if not _plan_agent(ws, base, agent, locked):
             return False
         locked[agent] = instance.goals[agent]
         displaced = [a for a, v in locked.items() if ws.pos[a] != v]
@@ -751,7 +716,6 @@ def _plan_agent(
     base: GraphView,
     agent: int,
     locked: dict[int, int],
-    mode: str,
 ) -> bool:
     goal = ws.instance.goals[agent]
     round_cap = 4 * ws.instance.roadmap.n_vertices + 16
@@ -779,14 +743,14 @@ def _plan_agent(
                     break  # a push shoved this agent aside; replan from there
                 if v in ws.at:
                     protect = frozenset(path[i + 1 :])
-                    if not _outer_push(ws, base, v, u, protect, locked, disturb, mode):
+                    if not _outer_push(ws, base, v, u, protect, locked, disturb):
                         banned.add(edge_key(u, v))
                         banned_now = True
                         break
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
                         break
-                if not _traverse(ws, base, u, v, mode):
+                if not ws.step(base, u, v, frozenset(), 1):
                     banned.add(edge_key(u, v))
                     banned_now = True
                     break
@@ -806,14 +770,6 @@ def _plan_agent(
     return False
 
 
-def _traverse(ws: Workspace, base: GraphView, u: int, v: int, mode: str) -> bool:
-    if mode == NAIVE:
-        if ws.traverse_edge_naive(u, v):
-            return True
-        raise _NaiveHalt()
-    return ws.move_la(base, u, v, frozenset(), depth=1)
-
-
 def _outer_push(
     ws: Workspace,
     base: GraphView,
@@ -822,7 +778,6 @@ def _outer_push(
     protect: frozenset[int],
     locked: dict[int, int],
     disturb: bool,
-    mode: str,
 ) -> bool:
     """Permanently shove the chain starting at ``head`` into empty vertices,
     clearing ``head`` for the advancing agent.
@@ -835,8 +790,6 @@ def _outer_push(
     """
 
     def push(g: GraphView, path: list[int]) -> Edge | None:
-        if mode == NAIVE:
-            return _chain_push_naive(ws, path)
         return ws.push_along_path(g, path, frozenset(), depth=0)
 
     tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
@@ -853,16 +806,3 @@ def _outer_push(
         if ws._push_off(base, head, key, lambda v: True, push, math.inf)[1]:
             return True
     return False
-
-
-def _chain_push_naive(ws: Workspace, path: Sequence[int]) -> Edge | None:
-    entry = ws.mark()
-    occupied_idx = [i for i, v in enumerate(path) if v in ws.at]
-    target = len(path) - 1
-    for i in reversed(occupied_idx):
-        for j in range(i, target):
-            if not ws.traverse_edge_naive(path[j], path[j + 1]):
-                ws.rollback(entry)
-                raise _NaiveHalt()
-        target = i
-    return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import clearance_threshold, segdist
-from .model import Instance, Move, Plan, State
+from .model import Instance, Move, Plan, State, apply_move
 
 
 def is_valid_transition(state: State, move: Move, instance: Instance) -> bool:
@@ -69,9 +69,7 @@ def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
         err = _transition_error(state, move, instance)
         if err is not None:
             return PlanReport(ok=False, failed_index=i, reason=f"move {i}: {err}")
-        positions = list(state.positions)
-        positions[move.agent] = move.dst
-        state = State(tuple(positions))
+        state = apply_move(state, move)
     for agent, goal in enumerate(instance.goals):
         if state.positions[agent] != goal:
             return PlanReport(

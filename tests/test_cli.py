@@ -137,6 +137,20 @@ def test_validate_detects_broken_plan(tmp_path, capsys):
     assert "move 0" in capsys.readouterr().out
 
 
+def test_render_rejects_teleporting_plan(tmp_path, capsys):
+    inst = ordering_instance()
+    map_path, scen_path = write_fixture(tmp_path, inst, "order")
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, [Move(0, 1, 2)])  # agent 0 is not at vertex 1
+    code = main(
+        ["render", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path), "--out", str(tmp_path / "frames")]
+    )
+    assert code == 1
+    assert "agent 0 is at 0, not 1" in capsys.readouterr().err
+    assert not (tmp_path / "frames").exists()
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main(["solve", "--map", str(tmp_path / "no.map"),
                  "--scen", str(tmp_path / "no.scen")])

@@ -108,8 +108,9 @@ def test_instance_prefix_property():
         assert inst.starts == tuple(s for s, _ in sc.pairs[:n])
         assert inst.goals == tuple(g for _, g in sc.pairs[:n])
     assert instance_from_scenario(rm, radius, sc).n_agents == 40
-    with pytest.raises(ValueError):
-        instance_from_scenario(rm, radius, sc, 41)
+    for n in (41, 0, -3):
+        with pytest.raises(ValueError):
+            instance_from_scenario(rm, radius, sc, n)
 
 
 def _small_bench(jobs=1):

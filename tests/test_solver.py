@@ -165,8 +165,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="finite"):
             solve(inst, SolverConfig(time_limit=bad))
     with pytest.raises(ValueError):
-        solve(inst, cfg(recursion_limit=0))
-    with pytest.raises(ValueError):
         solve(inst, cfg(order=(0, 0)))
     with pytest.raises(ValueError):
         solve(inst, cfg(order="sideways"))

@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given
 from hypothesis import strategies as st
+import pytest
 
 import fuzz_contracts
 from helpers import (
@@ -14,8 +15,15 @@ from helpers import (
     tiny_instance,
     two_branch_instance,
 )
-from mapfla.model import Move, State
-from mapfla.solver import GraphView, Workspace, lex_shortest_path, reverse_plan
+from mapfla.model import Move, State, make_roadmap
+from mapfla.solver import (
+    NAIVE,
+    GraphView,
+    Workspace,
+    _NaiveHalt,
+    lex_shortest_path,
+    reverse_plan,
+)
 from mapfla.validator import is_valid_transition
 
 
@@ -277,20 +285,35 @@ def test_reverse_plan_undoes_execution():
     assert state.positions == inst.starts
 
 
-# -- edge context -----------------------------------------------------------------
+# -- the single-edge step of each mode -------------------------------------------
 
 
-def test_edge_context_invariants():
-    inst = chain_clear_instance()
-    ws, _ = make_ws(inst)
-    ctx = ws.edge_context(0, 1, frozenset({1}))
-    assert ctx.interferers == frozenset({2})
-    assert ctx.free_interferers <= ctx.interferers
-    assert ctx.v_from not in ctx.interferers
-    assert ctx.v_to not in ctx.interferers
-    assert ctx.edge == (0, 1)
-    # vertex 2 is occupied at start, so not free
-    assert ctx.free_interferers == frozenset()
+def test_step_is_move_la_for_la_and_halts_for_naive():
+    inst = chain_clear_instance()  # agent 1 on vertex 2 interferes with (0, 1)
+    ws, base = make_ws(inst)
+    assert ws.step(base, 0, 1, frozenset(), 1)
+    assert ws.pos[0] == 1 and ws.pos[1:] == [2, 3]
+
+    ws = Workspace(inst, mode=NAIVE)
+    with pytest.raises(_NaiveHalt):
+        ws.step(base, 0, 1, frozenset(), 1)
+    assert ws.plan == []
+    with pytest.raises(_NaiveHalt):
+        ws.push_along_path(base, [0, 1], frozenset(), 0)
+
+
+# -- graph view ------------------------------------------------------------------
+
+
+def test_masked_edge_is_gone_whichever_way_it_was_stored():
+    rm = make_roadmap([(i, 0) for i in range(4)], [(0, 1), (1, 2), (2, 3)])
+    for mask in ((1, 2), (2, 1)):
+        view = GraphView(rm).without([mask])
+        assert view.neighbors(1) == (0,)
+        assert not view.has_edge(1, 2)
+        assert not view.has_edge(2, 1)
+        assert view.has_edge(1, 0) and view.has_edge(2, 3)
+        assert not view.has_edge(0, 2)
 
 
 # -- helper search ---------------------------------------------------------------
@@ -298,8 +321,6 @@ def test_edge_context_invariants():
 
 def test_lex_shortest_path_prefers_smallest_ids():
     # diamond: 0-1-3 and 0-2-3 tie; lexicographically smaller goes through 1
-    from mapfla.model import make_roadmap
-
     rm = make_roadmap(
         [(0, 0), (1, 1), (1, -1), (2, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
@@ -310,8 +331,6 @@ def test_lex_shortest_path_prefers_smallest_ids():
 
 def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
     # 0-1-4-5 and 0-2-3-5 tie; vertex 3 < 4, but the path through 1 is smaller
-    from mapfla.model import make_roadmap
-
     rm = make_roadmap(
         [(i, 0) for i in range(6)], [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
     )
