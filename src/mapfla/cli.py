@@ -21,6 +21,7 @@ from .solver import (
     TIMEOUT,
     InvalidInstanceError,
     SolverConfig,
+    check_instance,
     solve,
 )
 from .validator import validate_plan
@@ -80,6 +81,7 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = _load_instance(args.map, args.scen, args.agents)
+    check_instance(instance)
     plan = fileio.load_plan(args.plan)
     report = validate_plan(instance, plan)
     if report.ok:
@@ -136,6 +138,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     instance = _load_instance(args.map, args.scen, args.agents)
+    check_instance(instance)
     plan = fileio.load_plan(args.plan)
     frames = render.render_plan(instance, plan, args.out)
     print(f"wrote {len(frames)} frames to {args.out}")

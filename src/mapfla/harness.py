@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import segdist
 from .model import Instance, Roadmap, edge_key
 from .solver import FAILED, SOLVED, TIMEOUT, SolverConfig, solve
 from .validator import validate_plan
@@ -42,7 +41,6 @@ class Scenario:
 
     roadmap_name: str
     pairs: tuple[tuple[int, int], ...]
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -81,26 +79,21 @@ def gen_roadmap(
     min_separation: float,
     extent: tuple[float, float],
     seed: int,
-    *,
-    allow_interference: bool = True,
-    max_attempts: int | None = None,
 ) -> Roadmap:
     """Sample a connected roadmap: rejection-sampled vertices at pairwise
     distance >= ``min_separation``, then shortest k-nearest candidate edges
     up to the requested mean degree.
 
-    With ``allow_interference`` (the default) edges may pass arbitrarily
-    close to third vertices, which is what makes large-agent instances
-    interesting; otherwise any candidate passing within ``min_separation``
-    of a third vertex is dropped.  Only the largest connected component is
-    kept, relabelled densely.  Raises :class:`RoadmapGenError` after a
+    Edges may pass arbitrarily close to third vertices, which is what makes
+    large-agent instances interesting.  Only the largest connected component
+    is kept, relabelled densely.  Raises :class:`RoadmapGenError` after a
     bounded number of failed placement attempts.
     """
     if n_vertices < 1:
         raise ValueError("n_vertices must be >= 1")
     width, height = extent
     rng = random.Random(seed)
-    budget = max_attempts if max_attempts is not None else 300 * n_vertices + 1000
+    budget = 300 * n_vertices + 1000
     points: list[tuple[float, float]] = []
     sep_sq = min_separation * min_separation
     attempts = 0
@@ -134,13 +127,7 @@ def gen_roadmap(
         return math.hypot(x1 - x2, y1 - y2)
 
     target_edges = max(0, round(n * target_degree / 2))
-    edges: list[tuple[int, int]] = []
-    for e in sorted(candidates, key=lambda e: (length(e), e)):
-        if len(edges) >= target_edges:
-            break
-        if not allow_interference and _edge_too_close(points, e, min_separation):
-            continue
-        edges.append(e)
+    edges = sorted(candidates, key=lambda e: (length(e), e))[:target_edges]
 
     keep = _largest_component(n, edges)
     remap = {old: new for new, old in enumerate(sorted(keep))}
@@ -153,15 +140,6 @@ def gen_roadmap(
         )
     )
     return Roadmap(points=new_points, edge_list=new_edges)
-
-
-def _edge_too_close(points, e: tuple[int, int], clearance: float) -> bool:
-    u, v = e
-    a, b = points[u], points[v]
-    for w, p in enumerate(points):
-        if w != u and w != v and segdist(p, a, b) < clearance:
-            return True
-    return False
 
 
 def _largest_component(n: int, edges: Iterable[tuple[int, int]]) -> set[int]:
@@ -212,9 +190,7 @@ def gen_scenario(roadmap: Roadmap, n_pairs: int, seed: int, name: str = "roadmap
     rng = random.Random(seed)
     starts = rng.sample(range(roadmap.n_vertices), n_pairs)
     goals = rng.sample(range(roadmap.n_vertices), n_pairs)
-    return Scenario(
-        roadmap_name=name, pairs=tuple(zip(starts, goals)), seed=seed
-    )
+    return Scenario(roadmap_name=name, pairs=tuple(zip(starts, goals)))
 
 
 def instance_from_scenario(
@@ -270,9 +246,9 @@ class BenchReport:
 
 
 def _run_one(args) -> tuple[str, float]:
-    roadmap, radius, scenario, n, mode, time_limit, order = args
+    roadmap, radius, scenario, n, mode, time_limit = args
     instance = instance_from_scenario(roadmap, radius, scenario, n)
-    config = SolverConfig(mode=mode, order=order, time_limit=time_limit)
+    config = SolverConfig(mode=mode, time_limit=time_limit)
     started = time.perf_counter()
     result = solve(instance, config)
     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -291,23 +267,25 @@ def run_bench(
     time_limit: float,
     *,
     jobs: int = 1,
-    order: str | tuple[int, ...] = "index",
 ) -> BenchReport:
     """Run the full (roadmap x mode x n x scenario) grid and aggregate.
 
     Every solved plan is re-validated before it counts; an invalid one raises
-    :class:`BenchSoundnessError` and aborts the benchmark.
+    :class:`BenchSoundnessError` and aborts the benchmark.  Raises
+    ``ValueError`` when ``jobs`` < 1 or a roadmap has no scenarios.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     tasks = []
     task_keys = []
     for name in sorted(roadmaps):
         roadmap, radius = roadmaps[name]
+        if not scenarios[name]:
+            raise ValueError(f"roadmap {name!r} has no scenarios")
         for mode in modes:
             for n in n_values:
                 for si, scenario in enumerate(scenarios[name]):
-                    tasks.append(
-                        (roadmap, radius, scenario, n, mode, time_limit, order)
-                    )
+                    tasks.append((roadmap, radius, scenario, n, mode, time_limit))
                     task_keys.append((name, mode, n, si))
 
     outcomes: dict[tuple[str, str, int, int], tuple[str, float]] = {}
@@ -347,8 +325,8 @@ def run_bench(
                         solved=solved,
                         failed=failed,
                         timeout=timed_out,
-                        success_rate=solved / total if total else 0.0,
-                        mean_ms=sum(ms for _, ms in cell) / total if total else 0.0,
+                        success_rate=solved / total,
+                        mean_ms=sum(ms for _, ms in cell) / total,
                     )
                 )
                 log.info(

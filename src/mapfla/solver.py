@@ -238,7 +238,6 @@ class Workspace:
         self.at: dict[int, int] = {v: a for a, v in enumerate(instance.starts)}
         self.plan: list[Move] = []
         self.stats = SolveStats()
-        self._la_countdown: int | None = None
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -255,11 +254,6 @@ class Workspace:
     def check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _TimeUp()
-
-    def arm_la_budget(self, calls: int | None) -> None:
-        """Bound the number of ``move_la`` entries until the next re-arm;
-        None removes the bound.  Exhaustion makes traversals fail cleanly."""
-        self._la_countdown = calls
 
     # -- checked moves ----------------------------------------------------
 
@@ -317,10 +311,6 @@ class Workspace:
         """
         self.check_time()
         self.stats.move_la_calls += 1
-        if self._la_countdown is not None:
-            if self._la_countdown <= 0:
-                return False
-            self._la_countdown -= 1
         if depth > MAX_DEPTH:
             return False
         if not view.has_edge(v_from, v_to):
@@ -329,11 +319,10 @@ class Workspace:
         if agent is None or v_to in self.at:
             return False
         entry = self.mark()
-        cleaned = self.reversable_edge_cleaning(view, v_from, v_to, blocked, depth)
-        if cleaned is None:
+        rev = self.reversable_edge_cleaning(view, v_from, v_to, blocked, depth)
+        if rev is None:
             self.stats.case3_failures += 1
             return False
-        _, rev = cleaned
         if not self.try_move(agent, v_from, v_to):
             self.rollback(entry)
             return False
@@ -350,13 +339,13 @@ class Workspace:
         v_to: int,
         blocked: frozenset[int],
         depth: int,
-    ) -> tuple[Plan, Plan] | None:
+    ) -> Plan | None:
         """Clear every occupied interfering vertex of ``(v_from, v_to)``.
 
-        Applies the clearing moves in place and returns ``(cleared, restore)``
-        where ``restore`` (already reversed, mover's own moves excluded) puts
-        every relocated agent back once executed after the traversal.  Rolls
-        back and returns None when some vertex cannot be cleared, which is the
+        Applies the clearing moves in place and returns the restore plan
+        (already reversed, mover's own moves excluded), which puts every
+        relocated agent back once executed after the traversal.  Rolls back
+        and returns None when some vertex cannot be cleared, which is the
         unresolved-interference case the algorithm does not handle.
         """
         entry = self.mark()
@@ -398,7 +387,7 @@ class Workspace:
             log.debug("edge %s: vertices %s not cleared", (v_from, v_to), not_cleared)
             self.rollback(entry)
             return None
-        return list(self.plan[entry:]), reverse_plan(rev_acc)
+        return reverse_plan(rev_acc)
 
     def push_to_empty(
         self,
@@ -552,7 +541,6 @@ class Workspace:
         path_blocked: frozenset[int],
         acceptable: Callable[[int], bool],
         push: Callable[[GraphView, list[int]], Edge | None],
-        attempts: float = 16,
     ) -> tuple[GraphView, bool]:
         """Try empty target vertices nearest-first, pushing the chain from
         ``src`` along each one's path; on a chain failure mask the failing
@@ -561,36 +549,38 @@ class Workspace:
         Targets come from one lazily expanded BFS, in ``(hops, id)`` order;
         until an edge is masked its parent map gives the paths.  ``push``
         moves the chain along a path and returns the edge it failed on, or
-        None.  Total (target, path) executions are capped at ``attempts``:
-        inside the clearing stack, past the default cap the local geometry is
-        almost certainly unescapable and further attempts only burn the time
-        budget.  The outer loop passes ``math.inf``.
+        None.  Every failed push masks an edge of its path, so at most one
+        push per edge of ``g`` fails.
         """
         view = g
         for layer, parent in _layers(g, src, path_blocked):
             for eps in sorted(layer):
                 if eps in self.at or not acceptable(eps):
                     continue
-                while attempts > 0:
+                while True:
                     if view is g:
                         path = _path_to(parent, eps)
                     else:
                         path = lex_shortest_path(view, src, eps, path_blocked)
                         if path is None:
                             break
-                    attempts -= 1
                     attempt = self.mark()
                     failed = push(view, path)
                     if failed is None:
                         return view, True
                     self.rollback(attempt)
                     view = view.without((failed,))
-                if attempts <= 0:
-                    return view, False
         return view, False
 
 
 # -- outer loop -------------------------------------------------------------
+
+
+def check_instance(instance: Instance) -> None:
+    """Raise :class:`InvalidInstanceError` if ``validate_roadmap`` finds issues."""
+    report = validate_roadmap(instance)
+    if not report.ok:
+        raise InvalidInstanceError(report.issues)
 
 
 def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult:
@@ -598,20 +588,18 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
 
     Raises :class:`InvalidInstanceError` on malformed instances.  The result
     status is ``solved`` (plan attached), ``failed`` (all orderings
-    exhausted), or ``timeout``.
+    exhausted), or ``timeout``.  The time limit and ``stats.elapsed`` cover
+    the whole call, validation and the interference build included.
     """
     config = config or SolverConfig()
     if config.mode not in (LA, NAIVE):
         raise ValueError(f"unknown mode {config.mode!r}")
     if not (math.isfinite(config.time_limit) and config.time_limit > 0):
         raise ValueError("time_limit must be positive and finite")
-    report = validate_roadmap(instance)
-    if not report.ok:
-        raise InvalidInstanceError(report.issues)
-
-    cache = build_interference(instance.roadmap, instance.radius)
     t0 = time.monotonic()
     deadline = t0 + config.time_limit
+    check_instance(instance)
+    cache = build_interference(instance.roadmap, instance.radius)
     total = SolveStats()
 
     def finish(status: str, plan: Plan | None) -> SolveResult:
@@ -719,15 +707,12 @@ def _plan_agent(
 ) -> bool:
     goal = ws.instance.goals[agent]
     round_cap = 4 * ws.instance.roadmap.n_vertices + 16
-    stall_cap = 20  # failed-walk rounds before giving the agent up
     for disturb in (False, True):
         banned: set[Edge] = set()
         rounds = 0
-        stalls = 0
-        while ws.pos[agent] != goal and rounds < round_cap and stalls < stall_cap:
+        while ws.pos[agent] != goal and rounds < round_cap:
             rounds += 1
             ws.check_time()
-            ws.arm_la_budget(2000)
             hard = (
                 frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
             )
@@ -759,10 +744,7 @@ def _plan_agent(
                 return True
             if advanced:
                 banned.clear()
-                stalls = 0
-            elif banned_now:
-                stalls += 1
-            else:
+            elif not banned_now:
                 break
         if ws.pos[agent] == goal:
             return True
@@ -803,6 +785,6 @@ def _outer_push(
         if key in tried:
             continue
         tried.add(key)
-        if ws._push_off(base, head, key, lambda v: True, push, math.inf)[1]:
+        if ws._push_off(base, head, key, lambda v: True, push)[1]:
             return True
     return False

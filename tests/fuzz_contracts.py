@@ -138,14 +138,12 @@ def fuzz_edge_cleaning(seeds, attempts_per_seed: int = 6) -> int:
                 continue
             v = rng.choice(nbrs)
             snap = _snapshot(ws)
-            result = ws.reversable_edge_cleaning(base, u, v, frozenset(), depth=1)
-            if result is None:
+            restore = ws.reversable_edge_cleaning(base, u, v, frozenset(), depth=1)
+            if restore is None:
                 checks += _assert_restored(ws, snap)
                 continue
-            segment, restore = result
-            assert segment == ws.plan[len(snap[1]) :]
             assert all(m.agent != agent for m in restore)
-            checks += 2
+            checks += 1
             # cleaning must leave the traversal itself valid
             assert ws.try_move(agent, u, v), "cleaned edge still blocked"
             checks += 1

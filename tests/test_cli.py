@@ -3,7 +3,7 @@ from pathlib import Path
 from helpers import ordering_instance, star_instance
 from mapfla import fileio
 from mapfla.cli import main
-from mapfla.model import Move
+from mapfla.model import Instance, Move, make_roadmap
 
 
 def write_fixture(tmp_path: Path, instance, stem: str):
@@ -151,6 +151,45 @@ def test_render_rejects_teleporting_plan(tmp_path, capsys):
     assert not (tmp_path / "frames").exists()
 
 
+def invalid_instances():
+    """A start past the last vertex, and two agents on one start."""
+    rm = make_roadmap([(0.0, 0.0), (1.2, 0.0), (2.4, 0.0)], [(0, 1), (1, 2)])
+    return (
+        (Instance(rm, 0.5, (9,), (1,)), "start of agent 0 is missing vertex 9"),
+        (Instance(rm, 0.5, (0, 0), (1, 2)), "start vertex 0 assigned to agents 0 and 1"),
+    )
+
+
+def test_validate_rejects_invalid_instance(tmp_path, capsys):
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, [Move(0, 0, 1)])
+    for k, (inst, issue) in enumerate(invalid_instances()):
+        map_path, scen_path = write_fixture(tmp_path, inst, f"bad{k}")
+        code = main(
+            ["validate", "--map", str(map_path), "--scen", str(scen_path),
+             "--plan", str(plan_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "invalid instance" in captured.err and issue in captured.err
+        assert captured.out == ""
+
+
+def test_render_rejects_invalid_instance(tmp_path, capsys):
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, [Move(0, 0, 1)])
+    for k, (inst, issue) in enumerate(invalid_instances()):
+        map_path, scen_path = write_fixture(tmp_path, inst, f"bad{k}")
+        frames_dir = tmp_path / f"frames{k}"
+        code = main(
+            ["render", "--map", str(map_path), "--scen", str(scen_path),
+             "--plan", str(plan_path), "--out", str(frames_dir)]
+        )
+        assert code == 1
+        assert issue in capsys.readouterr().err
+        assert not frames_dir.exists()
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main(["solve", "--map", str(tmp_path / "no.map"),
                  "--scen", str(tmp_path / "no.scen")])
@@ -174,3 +213,20 @@ def test_bench_cli_csv(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("roadmap,mode,n,")
     assert len(lines) == 1 + 2 * 2  # 2 modes x 2 n-values
+
+
+def test_bench_rejects_jobs_below_one(capsys):
+    code = main(
+        ["bench", "--preset", "sparse-like", "--scenarios", "1",
+         "--modes", "naive", "--n", "2", "--jobs", "-5"]
+    )
+    assert code == 1
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_bench_rejects_empty_scenario_set(capsys):
+    code = main(["bench", "--scenarios", "0", "--modes", "naive", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "has no scenarios" in captured.err
+    assert captured.out == ""

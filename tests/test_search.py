@@ -108,24 +108,21 @@ def test_unreachable_target_gives_none(search):
             assert lex_shortest_path(view, src, dst, blocked) is None
 
 
-def ref_push_off(ws, g, src, path_blocked, acceptable, push, attempts):
+def ref_push_off(ws, g, src, path_blocked, acceptable, push):
     """The eager nearest-first push loop the lazy one replaced."""
     dists = ref_bfs_dists(g, src, path_blocked)
     candidates = sorted(
         (d, v) for v, d in dists.items() if v != src and v not in ws.at and acceptable(v)
     )
     for _, eps in candidates:
-        while attempts > 0:
+        while True:
             path = ref_lex_shortest_path(g, src, eps, path_blocked)
             if path is None:
                 break
-            attempts -= 1
             failed = push(g, path)
             if failed is None:
                 return g, True
             g = g.without((failed,))
-        if attempts <= 0:
-            break
     return g, False
 
 
@@ -135,10 +132,9 @@ def ref_push_off(ws, g, src, path_blocked, acceptable, push, attempts):
     st.sets(st.integers(0, 11)),
     st.sets(st.integers(0, 11)),
     st.lists(st.one_of(st.none(), st.integers(0, 10)), max_size=30),
-    st.sampled_from([1, 3, 16, float("inf")]),
 )
 def test_push_off_tries_the_same_paths_as_the_eager_search(
-    search, occupied, rejected, outcomes, attempts
+    search, occupied, rejected, outcomes
 ):
     """With a stand-in push that fails on a scripted edge of its path (None
     means success), both loops must try the same paths on the same masked
@@ -164,11 +160,9 @@ def test_push_off_tries_the_same_paths_as_the_eager_search(
         return push
 
     got_log, want_log = [], []
-    got_view, got_ok = ws._push_off(
-        view, src, blocked, acceptable, scripted(got_log), attempts
-    )
+    got_view, got_ok = ws._push_off(view, src, blocked, acceptable, scripted(got_log))
     want_view, want_ok = ref_push_off(
-        ws, view, src, blocked, acceptable, scripted(want_log), attempts
+        ws, view, src, blocked, acceptable, scripted(want_log)
     )
     assert got_log == want_log
     assert got_ok == want_ok

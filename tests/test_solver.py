@@ -1,6 +1,9 @@
 import logging
+import time
 
 import pytest
+
+import mapfla.solver
 
 from helpers import (
     case3_instance,
@@ -175,6 +178,21 @@ def test_timeout_status():
     result = solve(inst, cfg(time_limit=1e-9))
     assert result.status == TIMEOUT
     assert result.plan is None
+
+
+def test_time_limit_and_elapsed_cover_setup(monkeypatch):
+    build = mapfla.solver.build_interference
+
+    def slow_build(*args):
+        time.sleep(0.2)
+        return build(*args)
+
+    monkeypatch.setattr(mapfla.solver, "build_interference", slow_build)
+    inst = chain_clear_instance()
+    assert solve(inst, cfg(time_limit=0.1)).status == TIMEOUT
+    result = solve(inst, cfg())
+    assert result.status == SOLVED
+    assert result.stats.elapsed >= 0.2
 
 
 def test_stats_are_populated():

@@ -155,10 +155,8 @@ def test_cleaning_trivial_when_interferers_unoccupied():
     assert ws.try_move(2, 3, 4)
     assert ws.try_move(1, 2, 3)
     mark = len(ws.plan)
-    result = ws.reversable_edge_cleaning(base, 0, 1, frozenset(), depth=1)
-    assert result is not None
-    segment, restore = result
-    assert segment == [] and restore == []
+    restore = ws.reversable_edge_cleaning(base, 0, 1, frozenset(), depth=1)
+    assert restore == []
     assert len(ws.plan) == mark
 
 

@@ -1,4 +1,6 @@
+import ast
 import random
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import ordering_instance, tiny_instance
 from mapfla.model import Instance, Move, State, make_roadmap
 from mapfla.oracle import SOLVED, joint_bfs_solve
+from mapfla import validator
 from mapfla.validator import is_valid_transition, validate_plan
 
 
@@ -106,3 +109,21 @@ def test_ordering_fixture_oracle_plan_validates():
     result = joint_bfs_solve(inst)
     assert result.status == SOLVED
     assert validate_plan(inst, result.plan).ok
+
+
+def test_validator_is_independent_of_the_solver():
+    """The validator is the arbiter of solver plans, so it must neither
+    import the solver nor reuse its interference cache."""
+    tree = ast.parse(Path(validator.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & {"solver", "InterferenceCache", "build_interference"}
