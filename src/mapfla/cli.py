@@ -55,6 +55,8 @@ def _setup_logging() -> None:
 def _parse_n_range(spec: str) -> list[int]:
     if ".." in spec:
         lo, hi = spec.split("..", 1)
+        if int(hi) < int(lo):
+            raise _UsageError(f"--n range {spec} is empty")
         return list(range(int(lo), int(hi) + 1))
     return [int(spec)]
 
@@ -112,13 +114,15 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise _UsageError("--modes names no mode")
+    n_values = _parse_n_range(args.n)
     roadmap, radius = gen_preset(args.preset, args.seed)
     scenarios = [
         gen_scenario(roadmap, args.pairs, seed=args.seed * 10_000 + i, name=args.preset)
         for i in range(args.scenarios)
     ]
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    n_values = _parse_n_range(args.n)
     report = harness.run_bench(
         {args.preset: (roadmap, radius)},
         {args.preset: scenarios},

@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import Instance, Move, Plan, State
-from .validator import is_valid_transition
+from .model import Instance, Move, Plan
+from .validator import EdgeBands
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -43,6 +43,7 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
 
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None] = {start: None}
     queue: deque[tuple[int, ...]] = deque([start])
+    bands = EdgeBands(instance)
     expanded = 0
     while queue:
         if expanded >= node_budget:
@@ -50,18 +51,15 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
         current = queue.popleft()
         expanded += 1
         occupied = set(current)
-        state = State(current)
         for agent, u in enumerate(current):
             for w in rm.neighbors(u):
-                if w in occupied:
-                    continue
-                move = Move(agent, u, w)
-                if not is_valid_transition(state, move, instance):
+                # The validator's rule: free target, no agent in the edge's band.
+                if w in occupied or not occupied.isdisjoint(bands(u, w)):
                     continue
                 nxt = current[:agent] + (w,) + current[agent + 1 :]
                 if nxt in parents:
                     continue
-                parents[nxt] = (current, move)
+                parents[nxt] = (current, Move(agent, u, w))
                 if nxt == goal:
                     return OracleResult(SOLVED, _backtrack(parents, nxt), expanded)
                 queue.append(nxt)

@@ -1,59 +1,96 @@
 """Independent plan checker.
 
-This module is the arbiter for every other component: it recomputes segment
-distances per transition instead of consulting the precomputed interference
-cache, so a solver bug cannot hide behind a cache bug.  A transition is valid
-iff the mover actually sits on the edge's source vertex, the edge exists, the
-target is free, and every other agent keeps a strictly-greater-than-``2r``
-distance to the swept segment.
+This module is the arbiter for every other component: it shares nothing with
+the solver and never consults the precomputed interference cache, so a solver
+bug cannot hide behind a cache bug.  A transition is valid iff the mover
+actually sits on the edge's source vertex, the edge exists, the target is
+free, and every other agent keeps a strictly-greater-than-``2r`` distance to
+the swept segment.
+
+Each call keeps its own band table, discarded when the call returns: the
+first time an edge is asked about, its own ``segdist`` scan over the
+vertices in an x-strip around the edge finds the vertices within ``2r`` of
+it, and later moves along that edge only look up which of those vertices
+are occupied.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .geometry import clearance_threshold, segdist
-from .model import Instance, Move, Plan, State, apply_move
+from .geometry import EPS, clearance_threshold, segdist
+from .model import Edge, Instance, Move, Plan, State, edge_key
+
+
+class EdgeBands:
+    """Edge -> the non-endpoint vertices within ``2r`` of its segment, filled
+    lazily; meant to live for a single replay or search."""
+
+    def __init__(self, instance: Instance) -> None:
+        self.roadmap = instance.roadmap
+        self._threshold = clearance_threshold(instance.radius)
+        pts = self._points = instance.roadmap.points
+        self._order = sorted(range(len(pts)), key=lambda v: pts[v][0])
+        self._xs = [pts[v][0] for v in self._order]
+        self._bands: dict[Edge, frozenset[int]] = {}
+
+    def __call__(self, u: int, w: int) -> frozenset[int]:
+        key = edge_key(u, w)
+        band = self._bands.get(key)
+        if band is None:
+            pts, threshold = self._points, self._threshold
+            a, b = pts[u], pts[w]
+            # A vertex farther than the threshold from the edge's x-span is
+            # farther than it from the segment; EPS absorbs rounding.
+            lo = bisect_left(self._xs, min(a[0], b[0]) - threshold - EPS)
+            hi = bisect_right(self._xs, max(a[0], b[0]) + threshold + EPS)
+            band = self._bands[key] = frozenset(
+                v
+                for v in self._order[lo:hi]
+                if v != u and v != w and segdist(pts[v], a, b) <= threshold
+            )
+        return band
 
 
 def is_valid_transition(state: State, move: Move, instance: Instance) -> bool:
     """True iff replacing ``state`` by applying ``move`` is a legal transition."""
-    return _transition_error(state, move, instance) is None
+    occupant = {v: agent for agent, v in enumerate(state.positions)}
+    bands = EdgeBands(instance)
+    return _transition_error(state.positions, occupant, move, bands) is None
 
 
-def _transition_error(state: State, move: Move, instance: Instance) -> str | None:
-    rm = instance.roadmap
-    if not 0 <= move.agent < len(state.positions):
+def _transition_error(positions, occupant, move: Move, bands: EdgeBands) -> str | None:
+    """Why ``move`` is illegal, naming the lowest-indexed agent in its way."""
+    if not 0 <= move.agent < len(positions):
         return f"no agent {move.agent}"
-    if state.positions[move.agent] != move.src:
+    if positions[move.agent] != move.src:
         return (
-            f"agent {move.agent} is at vertex {state.positions[move.agent]}, "
+            f"agent {move.agent} is at vertex {positions[move.agent]}, "
             f"not {move.src}"
         )
-    if not rm.has_edge(move.src, move.dst):
+    if not bands.roadmap.has_edge(move.src, move.dst):
         return f"no edge between {move.src} and {move.dst}"
-    threshold = clearance_threshold(instance.radius)
-    a = rm.points[move.src]
-    b = rm.points[move.dst]
-    for other, v in enumerate(state.positions):
-        if other == move.agent:
-            continue
-        if v == move.dst:
-            return f"target vertex {move.dst} occupied by agent {other}"
-        if segdist(rm.points[v], a, b) <= threshold:
-            return (
-                f"agent {other} at vertex {v} is within 2r of "
-                f"edge ({move.src}, {move.dst})"
-            )
-    return None
+    hit = [occupant[v] for v in (move.dst, *bands(move.src, move.dst)) if v in occupant]
+    if not hit:
+        return None
+    other = min(hit)
+    if positions[other] == move.dst:
+        return f"target vertex {move.dst} occupied by agent {other}"
+    return (
+        f"agent {other} at vertex {positions[other]} is within 2r of "
+        f"edge ({move.src}, {move.dst})"
+    )
 
 
 @dataclass(frozen=True)
 class PlanReport:
     """First-failure report from :func:`validate_plan`.
 
-    ``failed_index`` is the offending move's position, or ``len(plan)`` when
-    the replay succeeded but the terminal state misses the goal.
+    ``failed_index`` is the offending move's position, ``len(plan)`` when
+    the replay succeeded but the terminal state misses the goal, or ``0``
+    with a reason starting ``invalid instance:`` when the start/goal
+    assignment itself is malformed and nothing was replayed.
     """
 
     ok: bool
@@ -61,23 +98,45 @@ class PlanReport:
     reason: str | None = None
 
 
+def _assignment_error(instance: Instance) -> str | None:
+    starts, goals = instance.starts, instance.goals
+    if len(starts) != len(goals):
+        return f"{len(starts)} starts but {len(goals)} goals"
+    n = instance.roadmap.n_vertices
+    for name, assignment in (("start", starts), ("goal", goals)):
+        taken: dict[int, int] = {}
+        for agent, v in enumerate(assignment):
+            if not 0 <= v < n:
+                return f"{name} of agent {agent} is vertex {v}, not in 0..{n - 1}"
+            if v in taken:
+                return f"{name} vertex {v} assigned to agents {taken[v]} and {agent}"
+            taken[v] = agent
+    return None
+
+
 def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
     """Replay ``plan`` from the instance start; ok iff every transition is
     valid and the terminal state places every agent on its goal."""
-    state = State(instance.starts)
+    err = _assignment_error(instance)
+    if err is not None:
+        return PlanReport(ok=False, failed_index=0, reason=f"invalid instance: {err}")
+    positions = list(instance.starts)
+    occupant = {v: agent for agent, v in enumerate(positions)}
+    bands = EdgeBands(instance)
     for i, move in enumerate(plan):
-        err = _transition_error(state, move, instance)
+        err = _transition_error(positions, occupant, move, bands)
         if err is not None:
             return PlanReport(ok=False, failed_index=i, reason=f"move {i}: {err}")
-        state = apply_move(state, move)
+        positions[move.agent] = move.dst
+        occupant[move.dst] = occupant.pop(move.src)
     for agent, goal in enumerate(instance.goals):
-        if state.positions[agent] != goal:
+        if positions[agent] != goal:
             return PlanReport(
                 ok=False,
                 failed_index=len(plan),
                 reason=(
                     f"goal not reached: agent {agent} ended at vertex "
-                    f"{state.positions[agent]}, goal is {goal}"
+                    f"{positions[agent]}, goal is {goal}"
                 ),
             )
     return PlanReport(ok=True)

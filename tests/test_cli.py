@@ -230,3 +230,19 @@ def test_bench_rejects_empty_scenario_set(capsys):
     assert code == 1
     assert "has no scenarios" in captured.err
     assert captured.out == ""
+
+
+def test_bench_rejects_reversed_n_range(capsys):
+    code = main(["bench", "--scenarios", "1", "--modes", "naive", "--n", "5..2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--n range 5..2 is empty" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_rejects_empty_modes(capsys):
+    code = main(["bench", "--scenarios", "1", "--modes", "", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--modes names no mode" in captured.err
+    assert captured.out == ""

@@ -1,6 +1,15 @@
+from collections import deque
+
 from helpers import ordering_instance, replay, star_instance, tiny_instance
-from mapfla.model import Instance, make_roadmap
-from mapfla.oracle import BUDGET_EXCEEDED, SOLVED, UNSOLVABLE, joint_bfs_solve
+from mapfla.geometry import clearance_threshold, segdist
+from mapfla.model import Instance, Move, make_roadmap
+from mapfla.oracle import (
+    BUDGET_EXCEEDED,
+    SOLVED,
+    UNSOLVABLE,
+    OracleResult,
+    joint_bfs_solve,
+)
 from mapfla.validator import validate_plan
 
 
@@ -49,3 +58,59 @@ def test_oracle_plans_validate_and_are_minimal_prefix_free():
         for i in range(len(result.plan)):
             assert not validate_plan(inst, result.plan[:i]).ok
     assert solved > 15
+
+
+def reference_joint_bfs(instance, node_budget=1_000_000):
+    """The joint BFS as it ran before the band table: every successor is
+    checked by a per-agent ``segdist`` scan."""
+    rm = instance.roadmap
+    threshold = clearance_threshold(instance.radius)
+    start, goal = tuple(instance.starts), tuple(instance.goals)
+    if start == goal:
+        return OracleResult(SOLVED, [], expanded=0)
+    parents = {start: None}
+    queue = deque([start])
+    expanded = 0
+    while queue:
+        if expanded >= node_budget:
+            return OracleResult(BUDGET_EXCEEDED, None, expanded)
+        current = queue.popleft()
+        expanded += 1
+        for agent, u in enumerate(current):
+            for w in rm.neighbors(u):
+                a, b = rm.points[u], rm.points[w]
+                if any(
+                    v == w or segdist(rm.points[v], a, b) <= threshold
+                    for other, v in enumerate(current)
+                    if other != agent
+                ):
+                    continue
+                nxt = current[:agent] + (w,) + current[agent + 1 :]
+                if nxt in parents:
+                    continue
+                parents[nxt] = (current, Move(agent, u, w))
+                if nxt == goal:
+                    plan, node = [], nxt
+                    while parents[node] is not None:
+                        node, move = parents[node]
+                        plan.append(move)
+                    return OracleResult(SOLVED, plan[::-1], expanded)
+                queue.append(nxt)
+    return OracleResult(UNSOLVABLE, None, expanded)
+
+
+def test_oracle_matches_the_per_agent_segdist_search():
+    statuses = set()
+    fixtures = [star_instance(), ordering_instance()]
+    for inst in [tiny_instance(seed) for seed in range(220)] + fixtures:
+        result = joint_bfs_solve(inst, node_budget=200_000)
+        assert result == reference_joint_bfs(inst, node_budget=200_000), inst
+        statuses.add(result.status)
+    assert statuses == {SOLVED, UNSOLVABLE}
+    for budget in (1, 2, 5, 20):
+        for seed in range(10):
+            inst = tiny_instance(seed)
+            result = joint_bfs_solve(inst, node_budget=budget)
+            assert result == reference_joint_bfs(inst, node_budget=budget), (seed, budget)
+            statuses.add(result.status)
+    assert BUDGET_EXCEEDED in statuses

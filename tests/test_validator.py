@@ -2,14 +2,16 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ordering_instance, tiny_instance
-from mapfla.model import Instance, Move, State, make_roadmap
+from helpers import fuzz_instance, ordering_instance, tiny_instance
+from mapfla.geometry import clearance_threshold, segdist
+from mapfla.model import Instance, Move, State, apply_move, make_roadmap
 from mapfla.oracle import SOLVED, joint_bfs_solve
 from mapfla import validator
-from mapfla.validator import is_valid_transition, validate_plan
+from mapfla.validator import PlanReport, is_valid_transition, validate_plan
 
 
 def line_instance(starts, goals, r=0.3, n=4):
@@ -127,3 +129,160 @@ def test_validator_is_independent_of_the_solver():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {"solver", "InterferenceCache", "build_interference"}
+
+
+def _assert_invalid_instance(report):
+    assert not report.ok
+    assert report.failed_index == 0
+    assert report.reason.startswith("invalid instance:")
+
+
+def test_vertex_off_the_roadmap_is_an_invalid_instance():
+    _assert_invalid_instance(validate_plan(line_instance((-1,), (-1,), n=3), []))
+    _assert_invalid_instance(validate_plan(line_instance((0,), (3,), n=3), [Move(0, 0, 1)]))
+
+
+def test_two_agents_on_one_vertex_is_an_invalid_instance():
+    _assert_invalid_instance(validate_plan(line_instance((0, 0), (0, 0), n=3), []))
+    report = validate_plan(line_instance((0, 1), (2, 2), n=3), [Move(1, 1, 2)])
+    _assert_invalid_instance(report)
+
+
+def test_start_goal_count_mismatch_is_an_invalid_instance():
+    _assert_invalid_instance(validate_plan(line_instance((0, 1), (0,), n=3), []))
+    _assert_invalid_instance(validate_plan(line_instance((0,), (0, 1), n=3), []))
+
+
+def reference_transition_error(state, move, instance):
+    """Brute-force reference for the band table: the per-agent ``segdist``
+    scan the validator ran on every move before it kept a band table."""
+    rm = instance.roadmap
+    if not 0 <= move.agent < len(state.positions):
+        return f"no agent {move.agent}"
+    if state.positions[move.agent] != move.src:
+        return (
+            f"agent {move.agent} is at vertex {state.positions[move.agent]}, "
+            f"not {move.src}"
+        )
+    if not rm.has_edge(move.src, move.dst):
+        return f"no edge between {move.src} and {move.dst}"
+    threshold = clearance_threshold(instance.radius)
+    a = rm.points[move.src]
+    b = rm.points[move.dst]
+    for other, v in enumerate(state.positions):
+        if other == move.agent:
+            continue
+        if v == move.dst:
+            return f"target vertex {move.dst} occupied by agent {other}"
+        if segdist(rm.points[v], a, b) <= threshold:
+            return (
+                f"agent {other} at vertex {v} is within 2r of "
+                f"edge ({move.src}, {move.dst})"
+            )
+    return None
+
+
+def reference_validate_plan(instance, plan):
+    state = State(instance.starts)
+    for i, move in enumerate(plan):
+        err = reference_transition_error(state, move, instance)
+        if err is not None:
+            return PlanReport(ok=False, failed_index=i, reason=f"move {i}: {err}")
+        state = apply_move(state, move)
+    for agent, goal in enumerate(instance.goals):
+        if state.positions[agent] != goal:
+            return PlanReport(
+                ok=False,
+                failed_index=len(plan),
+                reason=(
+                    f"goal not reached: agent {agent} ended at vertex "
+                    f"{state.positions[agent]}, goal is {goal}"
+                ),
+            )
+    return PlanReport(ok=True)
+
+
+def _candidate_moves(state, instance):
+    return [
+        Move(agent, u, w)
+        for agent, u in enumerate(state.positions)
+        for w in instance.roadmap.neighbors(u)
+    ]
+
+
+def _random_walk(instance, rng, length):
+    """A plan of up to ``length`` legal moves, and the state it ends in."""
+    state = State(instance.starts)
+    plan = []
+    for _ in range(length):
+        legal = [
+            m for m in _candidate_moves(state, instance)
+            if reference_transition_error(state, m, instance) is None
+        ]
+        if not legal:
+            break
+        plan.append(rng.choice(legal))
+        state = apply_move(state, plan[-1])
+    return plan, state
+
+
+def _mutate(plan, mutation, instance, rng):
+    if not plan or mutation == "none":
+        return plan
+    plan = list(plan)
+    i = rng.randrange(len(plan))
+    move = plan[i]
+    if mutation == "drop":
+        del plan[i]
+    elif mutation == "swap":
+        j = rng.randrange(len(plan))
+        plan[i], plan[j] = plan[j], plan[i]
+    elif mutation == "retarget":
+        plan[i] = Move(move.agent, move.src, rng.choice(instance.roadmap.neighbors(move.src)))
+    else:
+        plan[i] = Move(rng.randrange(instance.n_agents), move.src, move.dst)
+    return plan
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["none", "drop", "swap", "retarget", "agent"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_replay_matches_the_brute_force_segdist_replay(seed, mutation):
+    rng = random.Random(seed)
+    inst = fuzz_instance(seed, max_vertices=40, max_agents=8)
+    plan, final = _random_walk(inst, rng, rng.randint(0, 40))
+    if rng.random() < 0.5:
+        inst = Instance(inst.roadmap, inst.radius, inst.starts, final.positions)
+    plan = _mutate(plan, mutation, inst, rng)
+    assert validate_plan(inst, plan) == reference_validate_plan(inst, plan)
+    # Every move open to every agent in every state the replay reaches, with
+    # the reason: a move with several agents in its way must name the first.
+    state = State(inst.starts)
+    for move in plan:
+        here = Instance(inst.roadmap, inst.radius, state.positions, state.positions)
+        for m in [move, *_candidate_moves(state, inst)]:
+            expected = reference_transition_error(state, m, inst)
+            assert is_valid_transition(state, m, inst) is (expected is None), m
+            assert validate_plan(here, [m]) == reference_validate_plan(here, [m])
+        if reference_transition_error(state, move, inst) is not None:
+            break
+        state = apply_move(state, move)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("beyond, blocked", [(0.0, True), (1e-12, False)])
+def test_band_keeps_a_vertex_exactly_at_the_threshold(side, beyond, blocked):
+    # Edge (0, 1) ends at the origin and vertex 2 lies on its line past that
+    # end, so segdist is exactly vertex 2's x offset: the x-strip around the
+    # edge must reach at least the threshold past the edge's x-span.
+    threshold = clearance_threshold(0.3)
+    pts = [(-1.2 * side, 0.0), (0.0, 0.0), (side * (threshold + beyond), 0.0)]
+    rm = make_roadmap(pts, [(0, 1)])
+    assert segdist(pts[2], pts[0], pts[1]) == threshold + beyond
+    inst = Instance(roadmap=rm, radius=0.3, starts=(0, 2), goals=(1, 2))
+    plan = [Move(0, 0, 1)]
+    assert is_valid_transition(State(inst.starts), plan[0], inst) is not blocked
+    assert validate_plan(inst, plan) == reference_validate_plan(inst, plan)
+    assert validate_plan(inst, plan).ok is not blocked
