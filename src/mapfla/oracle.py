@@ -53,7 +53,6 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
         occupied = set(current)
         for agent, u in enumerate(current):
             for w in rm.neighbors(u):
-                # The validator's rule: free target, no agent in the edge's band.
                 if w in occupied or not occupied.isdisjoint(bands(u, w)):
                     continue
                 nxt = current[:agent] + (w,) + current[agent + 1 :]

@@ -8,10 +8,10 @@ free, and every other agent keeps a strictly-greater-than-``2r`` distance to
 the swept segment.
 
 Each call keeps its own band table, discarded when the call returns: the
-first time an edge is asked about, its own ``segdist`` scan over the
-vertices in an x-strip around the edge finds the vertices within ``2r`` of
-it, and later moves along that edge only look up which of those vertices
-are occupied.
+first time an edge is asked about, the table runs its own ``segdist`` over
+the vertices in the edge's bounding box grown by ``2r`` (found in a list
+sorted by x) and keeps those within ``2r`` of the segment.  Later moves
+along that edge only look up which of those vertices are occupied.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .model import Edge, Instance, Move, Plan, State, edge_key
 
 
 class EdgeBands:
-    """Edge -> the non-endpoint vertices within ``2r`` of its segment, filled
-    lazily; meant to live for a single replay or search."""
+    """Edge -> non-endpoint vertices within ``2r`` of it; lives for one call."""
 
     def __init__(self, instance: Instance) -> None:
         self.roadmap = instance.roadmap
@@ -41,14 +40,17 @@ class EdgeBands:
         if band is None:
             pts, threshold = self._points, self._threshold
             a, b = pts[u], pts[w]
-            # A vertex farther than the threshold from the edge's x-span is
-            # farther than it from the segment; EPS absorbs rounding.
-            lo = bisect_left(self._xs, min(a[0], b[0]) - threshold - EPS)
-            hi = bisect_right(self._xs, max(a[0], b[0]) + threshold + EPS)
+            # A vertex outside the edge's bounding box grown by the threshold
+            # is farther than it from the segment; EPS absorbs rounding.
+            margin = threshold + EPS
+            lo = bisect_left(self._xs, min(a[0], b[0]) - margin)
+            hi = bisect_right(self._xs, max(a[0], b[0]) + margin)
+            ylo, yhi = min(a[1], b[1]) - margin, max(a[1], b[1]) + margin
             band = self._bands[key] = frozenset(
                 v
                 for v in self._order[lo:hi]
-                if v != u and v != w and segdist(pts[v], a, b) <= threshold
+                if ylo <= pts[v][1] <= yhi and v != u and v != w
+                and segdist(pts[v], a, b) <= threshold
             )
         return band
 

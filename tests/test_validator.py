@@ -271,14 +271,16 @@ def test_replay_matches_the_brute_force_segdist_replay(seed, mutation):
         state = apply_move(state, move)
 
 
+@pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("side", [1.0, -1.0])
 @pytest.mark.parametrize("beyond, blocked", [(0.0, True), (1e-12, False)])
-def test_band_keeps_a_vertex_exactly_at_the_threshold(side, beyond, blocked):
+def test_band_keeps_a_vertex_exactly_at_the_threshold(axis, side, beyond, blocked):
     # Edge (0, 1) ends at the origin and vertex 2 lies on its line past that
-    # end, so segdist is exactly vertex 2's x offset: the x-strip around the
-    # edge must reach at least the threshold past the edge's x-span.
+    # end, so segdist is exactly vertex 2's offset: the box the band scans
+    # must reach at least the threshold past the edge along both axes.
     threshold = clearance_threshold(0.3)
-    pts = [(-1.2 * side, 0.0), (0.0, 0.0), (side * (threshold + beyond), 0.0)]
+    offsets = [-1.2 * side, 0.0, side * (threshold + beyond)]
+    pts = [(d, 0.0) if axis == 0 else (0.0, d) for d in offsets]
     rm = make_roadmap(pts, [(0, 1)])
     assert segdist(pts[2], pts[0], pts[1]) == threshold + beyond
     inst = Instance(roadmap=rm, radius=0.3, starts=(0, 2), goals=(1, 2))
