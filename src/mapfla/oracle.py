@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .model import Instance, Move, Plan
-from .validator import EdgeBands
+from .validator import EdgeBands, assignment_error
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -33,8 +33,11 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     ``unsolvable`` only after the whole reachable component was enumerated,
     and ``budget_exceeded`` when the expansion budget ran out first.
     Successors are generated agents-by-id then neighbours-by-id, so plans
-    are canonical.
+    are canonical.  A malformed start/goal assignment raises ``ValueError``.
     """
+    err = assignment_error(instance)
+    if err is not None:
+        raise ValueError(f"invalid instance: {err}")
     rm = instance.roadmap
     start = tuple(instance.starts)
     goal = tuple(instance.goals)

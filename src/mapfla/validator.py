@@ -100,7 +100,8 @@ class PlanReport:
     reason: str | None = None
 
 
-def _assignment_error(instance: Instance) -> str | None:
+def assignment_error(instance: Instance) -> str | None:
+    """Why the start/goal assignment is malformed, or None; O(K)."""
     starts, goals = instance.starts, instance.goals
     if len(starts) != len(goals):
         return f"{len(starts)} starts but {len(goals)} goals"
@@ -119,7 +120,7 @@ def _assignment_error(instance: Instance) -> str | None:
 def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
     """Replay ``plan`` from the instance start; ok iff every transition is
     valid and the terminal state places every agent on its goal."""
-    err = _assignment_error(instance)
+    err = assignment_error(instance)
     if err is not None:
         return PlanReport(ok=False, failed_index=0, reason=f"invalid instance: {err}")
     positions = list(instance.starts)

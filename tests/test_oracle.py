@@ -1,5 +1,7 @@
 from collections import deque
 
+import pytest
+
 from helpers import ordering_instance, replay, star_instance, tiny_instance
 from mapfla.geometry import clearance_threshold, segdist
 from mapfla.model import Instance, Move, make_roadmap
@@ -114,3 +116,10 @@ def test_oracle_matches_the_per_agent_segdist_search():
             assert result == reference_joint_bfs(inst, node_budget=budget), (seed, budget)
             statuses.add(result.status)
     assert BUDGET_EXCEEDED in statuses
+
+
+def test_malformed_assignment_is_rejected():
+    rm = make_roadmap([(1.2 * i, 0.0) for i in range(3)], [(0, 1), (1, 2)])
+    for starts, goals in (((0, 0), (1, 2)), ((0,), (1, 2)), ((5,), (1,))):
+        with pytest.raises(ValueError, match="invalid instance"):
+            joint_bfs_solve(Instance(roadmap=rm, radius=0.3, starts=starts, goals=goals))
