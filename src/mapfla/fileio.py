@@ -75,7 +75,9 @@ def dumps_roadmap(roadmap: Roadmap, radius: float) -> str:
 def loads_roadmap(text: str, source: str = "<roadmap>") -> tuple[Roadmap, float]:
     radius: float | None = None
     verts: dict[int, tuple[float, float]] = {}
+    vert_lines: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
+    edge_lines: list[int] = []
     for line_no, tokens in _records(text, source, ROADMAP_HEADER):
         kind = tokens[0]
         if kind == "r":
@@ -94,6 +96,7 @@ def loads_roadmap(text: str, source: str = "<roadmap>") -> tuple[Roadmap, float]
                 _float(tokens[2], source, line_no, "x"),
                 _float(tokens[3], source, line_no, "y"),
             )
+            vert_lines[vid] = line_no
         elif kind == "e":
             if len(tokens) != 3:
                 raise FileFormatError(source, line_no, "e record needs two vertex ids")
@@ -103,16 +106,21 @@ def loads_roadmap(text: str, source: str = "<roadmap>") -> tuple[Roadmap, float]
                     _int(tokens[2], source, line_no, "vertex id"),
                 )
             )
+            edge_lines.append(line_no)
         else:
             raise FileFormatError(source, line_no, f"unknown record {kind!r}")
     if radius is None:
         raise FileFormatError(source, 1, "missing r record")
-    if sorted(verts) != list(range(len(verts))):
-        raise FileFormatError(source, 1, "vertex ids must be dense from 0")
-    points = tuple(verts[i] for i in range(len(verts)))
-    for u, v in edges:
-        if not (0 <= u < len(points) and 0 <= v < len(points)):
-            raise FileFormatError(source, 1, f"edge ({u}, {v}) references a missing vertex")
+    n = len(verts)
+    for vid, line_no in vert_lines.items():
+        if not 0 <= vid < n:
+            raise FileFormatError(source, line_no, "vertex ids must be dense from 0")
+    points = tuple(verts[i] for i in range(n))
+    for (u, v), line_no in zip(edges, edge_lines):
+        if not (0 <= u < n and 0 <= v < n):
+            raise FileFormatError(
+                source, line_no, f"edge ({u}, {v}) references a missing vertex"
+            )
     return Roadmap(points=points, edge_list=tuple(edges)), radius
 
 

@@ -13,11 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .geometry import Point2D, clearance_threshold, dist, segdist
+from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
 Edge = tuple[int, int]
 
@@ -112,27 +113,42 @@ class InterferenceCache:
     vertex_edges: dict[int, frozenset[Edge]]
 
 
+def _x_sorted(points: tuple[Point2D, ...]) -> tuple[list[int], list[float]]:
+    """Ids of the finite points sorted by x, and their x coordinates."""
+    order = sorted(
+        (v for v, (x, y) in enumerate(points) if math.isfinite(x) and math.isfinite(y)),
+        key=lambda v: points[v][0],
+    )
+    return order, [points[v][0] for v in order]
+
+
 def build_interference(roadmap: Roadmap, radius: float) -> InterferenceCache:
     """Compute, for every edge, the vertices within ``2r`` of its segment.
 
     The blocked band is closed with tolerance: a vertex at distance
     ``<= 2r + EPS`` counts as interfering, matching the strict ``> 2r``
-    clearance the validator demands of transitions.
+    clearance the validator demands of transitions.  Only the finite
+    vertices in the edge's bounding box, grown by that threshold plus ``EPS``
+    against rounding, are found by an x-sorted sweep and given to ``segdist``.
     """
     threshold = clearance_threshold(radius)
+    margin = threshold + EPS
     pts = roadmap.points
+    order, xs = _x_sorted(pts)
     edge_vertices: dict[Edge, frozenset[int]] = {}
     vertex_edges: dict[int, set[Edge]] = {v: set() for v in range(len(pts))}
     for e in sorted(roadmap.edge_set):
         u, w = e
         a, b = pts[u], pts[w]
-        hits = []
-        for v, p in enumerate(pts):
-            if v == u or v == w:
-                continue
-            if segdist(p, a, b) <= threshold:
-                hits.append(v)
-                vertex_edges[v].add(e)
+        lo = bisect_left(xs, min(a[0], b[0]) - margin)
+        hi = bisect_right(xs, max(a[0], b[0]) + margin)
+        ylo, yhi = min(a[1], b[1]) - margin, max(a[1], b[1]) + margin
+        hits = sorted(
+            v for v in order[lo:hi] if ylo <= pts[v][1] <= yhi and v != u and v != w
+            and segdist(pts[v], a, b) <= threshold
+        )
+        for v in hits:
+            vertex_edges[v].add(e)
         edge_vertices[e] = frozenset(hits)
     return InterferenceCache(
         radius=radius,
@@ -155,7 +171,9 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
     Reported violations:
       * non-finite coordinates or non-positive radius
       * edge endpoints out of range, self-loops, duplicate edges
-      * vertex pairs not strictly farther apart than ``2r``
+      * vertex pairs not strictly farther apart than ``2r``, in ``(u, v)``
+        order, testing only the finite pairs an x-sorted sweep finds within
+        ``2r + 2 EPS`` of each other along both axes
       * start/goal assignments out of range or non-injective
     """
     issues: list[str] = []
@@ -185,14 +203,20 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
 
     if math.isfinite(r) and r > 0:
         limit = clearance_threshold(r)
-        for u in range(n):
-            for v in range(u + 1, n):
-                d = dist(rm.points[u], rm.points[v])
-                if d <= limit:
-                    issues.append(
-                        f"vertices {u} and {v} are {d:.9g} apart; "
-                        f"separation must exceed 2r = {2 * r:.9g}"
-                    )
+        margin = limit + EPS
+        pts = rm.points
+        order, xs = _x_sorted(pts)
+        close = []
+        for i, u in enumerate(order):
+            x, y = pts[u]
+            for v in order[i + 1 : bisect_right(xs, x + margin, i + 1)]:
+                if abs(pts[v][1] - y) <= margin and (d := dist(pts[u], pts[v])) <= limit:
+                    close.append((min(u, v), max(u, v), d))
+        for u, v, d in sorted(close):
+            issues.append(
+                f"vertices {u} and {v} are {d:.9g} apart; "
+                f"separation must exceed 2r = {2 * r:.9g}"
+            )
 
     for name, assignment in (("start", instance.starts), ("goal", instance.goals)):
         for agent, v in enumerate(assignment):

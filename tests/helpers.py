@@ -7,7 +7,8 @@ import math
 import random
 
 from mapfla.harness import gen_roadmap
-from mapfla.model import Instance, State, apply_move, make_roadmap
+from mapfla.geometry import segdist
+from mapfla.model import Instance, State, apply_move, edge_key, make_roadmap
 from mapfla.validator import is_valid_transition
 
 
@@ -102,9 +103,24 @@ def retry_instance() -> Instance:
     )
 
 
+def brute_force_interference(roadmap, radius):
+    """Every edge's interfering vertices by testing each edge against every
+    vertex: the reference the interference build must equal."""
+    threshold = 2 * radius + 1e-9
+    out = {}
+    for u, v in roadmap.edge_set:
+        hits = set()
+        for w in range(roadmap.n_vertices):
+            if w in (u, v):
+                continue
+            if segdist(roadmap.points[w], roadmap.points[u], roadmap.points[v]) <= threshold:
+                hits.add(w)
+        out[edge_key(u, v)] = frozenset(hits)
+    return out
+
+
 def interference_free_instance(seed: int, n_agents: int = 4) -> Instance:
     """Random instance with the radius shrunk until no edge has interferers."""
-    from mapfla.geometry import segdist
     from mapfla.model import build_interference
 
     rng = random.Random(seed)

@@ -66,15 +66,19 @@ def test_malformed_records_carry_line_numbers():
 
 
 def test_sparse_vertex_ids_rejected():
-    text = "mapfla-roadmap 1\nr 0.5\nv 0 0.0 0.0\nv 2 1.0 1.0\n"
-    with pytest.raises(fileio.FileFormatError):
+    # ids {0, 2}: the record with id 2 is the one outside 0..n-1
+    text = "mapfla-roadmap 1\nr 0.5\nv 2 1.0 1.0\n# gap\nv 0 0.0 0.0\n"
+    with pytest.raises(fileio.FileFormatError) as err:
         fileio.loads_roadmap(text)
+    assert err.value.line_no == 3
 
 
 def test_edge_to_unknown_vertex_rejected():
-    text = "mapfla-roadmap 1\nr 0.5\nv 0 0.0 0.0\nv 1 3.0 0.0\ne 0 7\n"
-    with pytest.raises(fileio.FileFormatError):
-        fileio.loads_roadmap(text)
+    text = "mapfla-roadmap 1\nr 0.5\nv 0 0.0 0.0\nv 1 3.0 0.0\ne 0 1\n\ne 1 7\n"
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.loads_roadmap(text, "m.map")
+    assert err.value.line_no == 7
+    assert str(err.value) == "m.map:7: edge (1, 7) references a missing vertex"
 
 
 def test_duplicate_edges_pass_parser_for_validator_to_catch():

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import star_instance
-from mapfla.geometry import segdist
+from helpers import brute_force_interference, star_instance
+import mapfla.model
+from mapfla.geometry import clearance_threshold, dist, segdist
 from mapfla.model import (
     Instance,
     Move,
@@ -17,20 +19,6 @@ from mapfla.model import (
     make_roadmap,
     validate_roadmap,
 )
-
-
-def brute_force_interference(roadmap, radius):
-    threshold = 2 * radius + 1e-9
-    out = {}
-    for u, v in roadmap.edge_set:
-        hits = set()
-        for w in range(roadmap.n_vertices):
-            if w in (u, v):
-                continue
-            if segdist(roadmap.points[w], roadmap.points[u], roadmap.points[v]) <= threshold:
-                hits.add(w)
-        out[edge_key(u, v)] = frozenset(hits)
-    return out
 
 
 # -- interference cache -------------------------------------------------------
@@ -119,6 +107,156 @@ def test_small_radius_empties_all_interference():
         cache = build_interference(rm, clear / 2.5)
         assert all(not s for s in cache.edge_vertices.values())
         assert cache.edge_vertices == brute_force_interference(rm, clear / 2.5)
+
+
+# -- broad phase: the x-sorted sweep equals the exhaustive scans --------------
+
+
+def exhaustive_pair_issues(points, r):
+    """The separation check as an all-pairs double loop: the reference the
+    sweep in ``validate_roadmap`` must equal, line for line."""
+    limit = 2 * r + 1e-9
+    issues = []
+    for u in range(len(points)):
+        for v in range(u + 1, len(points)):
+            d = dist(points[u], points[v])
+            if d <= limit:
+                issues.append(
+                    f"vertices {u} and {v} are {d:.9g} apart; "
+                    f"separation must exceed 2r = {2 * r:.9g}"
+                )
+    return issues
+
+
+def assert_sweep_matches_exhaustive(points, edges, r):
+    rm = make_roadmap(points, edges)
+    cache = build_interference(rm, r)
+    assert cache.edge_vertices == brute_force_interference(rm, r)
+    report = validate_roadmap(Instance(make_roadmap(points, []), r, (), ()))
+    non_finite = [
+        line for line in report.issues if line.startswith("vertex ")
+    ]
+    assert len(non_finite) == sum(
+        not (math.isfinite(x) and math.isfinite(y)) for x, y in rm.points
+    )
+    assert report.issues == tuple(non_finite + exhaustive_pair_issues(rm.points, r))
+
+
+_coord = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.integers(-4, 4).map(float),  # lattice points tie in x, in y and at 2r
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def _sweep_cases(draw):
+    points = draw(st.lists(st.tuples(_coord, _coord), max_size=24))
+    if points:  # coincident points
+        points += draw(st.lists(st.sampled_from(points), max_size=4))
+    n = len(points)
+    edges = (
+        draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+        if n
+        else []
+    )
+    r = draw(
+        st.one_of(
+            st.floats(-12.0, 2.0).map(lambda k: 10.0**k),  # up to past the extent
+            st.sampled_from([0.25, 0.5, 1.0, 1.5]),  # lattice distances at exactly 2r
+        )
+    )
+    return points, edges, r
+
+
+@given(_sweep_cases())
+@settings(max_examples=300, deadline=None)
+def test_sweep_equals_exhaustive_scans(case):
+    assert_sweep_matches_exhaustive(*case)
+
+
+_T = clearance_threshold(0.5)
+# (edge end, unit direction from that end to the vertex, outward from the edge)
+_ENDS = {
+    "past right end along x": (((-2.0, 0.0), (0.0, 0.0)), (1.0, 0.0)),
+    "past left end along x": (((0.0, 0.0), (2.0, 0.0)), (-1.0, 0.0)),
+    "past top end along y": (((0.0, -2.0), (0.0, 0.0)), (0.0, 1.0)),
+    "past bottom end along y": (((0.0, 0.0), (0.0, 2.0)), (0.0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("beyond", [0.0, 1e-12])
+@pytest.mark.parametrize("where", sorted(_ENDS))
+def test_vertex_at_the_threshold_past_an_edge_end(where, beyond):
+    (a, b), (dx, dy) = _ENDS[where]
+    off = _T + beyond
+    points = [a, b, (dx * off, dy * off)]
+    rm = make_roadmap(points, [(0, 1)])
+    expected = frozenset({2}) if beyond == 0.0 else frozenset()
+    assert build_interference(rm, 0.5).edge_vertices[(0, 1)] == expected
+    assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
+
+
+@pytest.mark.parametrize("beyond", [0.0, 1e-12])
+@pytest.mark.parametrize("direction", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+def test_vertex_pair_at_the_threshold(direction, beyond):
+    off = _T + beyond
+    points = [(0.0, 0.0), (direction[0] * off, direction[1] * off)]
+    report = validate_roadmap(Instance(make_roadmap(points, []), 0.5, (), ()))
+    assert len(report.issues) == (1 if beyond == 0.0 else 0)
+    assert_sweep_matches_exhaustive(points, [], 0.5)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_sweep_margin_absorbs_rounding_past_the_threshold(axis):
+    # ``far`` is one ulp past the rounded ``end + 2r + EPS``, yet ``segdist``
+    # and ``dist`` put it within that threshold: a sweep whose margin were
+    # the bare threshold would drop it.
+    end, far = -2.0, math.nextafter(-2.0 + _T, math.inf)
+    assert far > end + _T and dist((end, 0.0), (far, 0.0)) <= _T
+    swap = (lambda p: p) if axis == "x" else (lambda p: (p[1], p[0]))
+    points = [swap((-4.0, 0.0)), swap((end, 0.0)), swap((far, 0.0))]
+    rm = make_roadmap(points, [(0, 1)])
+    assert build_interference(rm, 0.5).edge_vertices[(0, 1)] == frozenset({2})
+    assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
+    pair = Instance(make_roadmap(points[1:], []), 0.5, (), ())
+    assert len(validate_roadmap(pair).issues) == 1
+
+
+def test_geometry_work_grows_with_the_roadmap_not_its_square(monkeypatch):
+    # 45 x 45 lattice, spacing 1, right/up/diagonal edges; built directly
+    # because the roadmap generator is itself quadratic.
+    side = 45
+    points = [(float(i), float(j)) for j in range(side) for i in range(side)]
+    edges = []
+    for j in range(side):
+        for i in range(side):
+            v = j * side + i
+            if i + 1 < side:
+                edges.append((v, v + 1))
+            if j + 1 < side:
+                edges.append((v, v + side))
+            if i + 1 < side and j + 1 < side:
+                edges.append((v, v + side + 1))
+    rm = make_roadmap(points, edges)
+    calls = {"segdist": 0, "dist": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(mapfla.model, "segdist", counted("segdist", segdist))
+    monkeypatch.setattr(mapfla.model, "dist", counted("dist", dist))
+    cache = build_interference(rm, 0.48)
+    assert validate_roadmap(Instance(rm, 0.48, (0,), (0,))).ok
+    assert any(cache.edge_vertices.values())
+    # The exhaustive scans make about V segdist calls per edge and V / 2
+    # dist calls per vertex.
+    assert calls["segdist"] <= 20 * rm.n_edges
+    assert calls["dist"] <= 10 * rm.n_vertices
 
 
 # -- roadmap validation -------------------------------------------------------
