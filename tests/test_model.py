@@ -133,9 +133,7 @@ def assert_sweep_matches_exhaustive(points, edges, r):
     cache = build_interference(rm, r)
     assert cache.edge_vertices == brute_force_interference(rm, r)
     report = validate_roadmap(Instance(make_roadmap(points, []), r, (), ()))
-    non_finite = [
-        line for line in report.issues if line.startswith("vertex ")
-    ]
+    non_finite = [line for line in report.issues if line.startswith("vertex ")]
     assert len(non_finite) == sum(
         not (math.isfinite(x) and math.isfinite(y)) for x, y in rm.points
     )
@@ -176,7 +174,7 @@ def test_sweep_equals_exhaustive_scans(case):
 
 
 _T = clearance_threshold(0.5)
-# (edge end, unit direction from that end to the vertex, outward from the edge)
+# (edge with one end at the origin, unit direction out past that end)
 _ENDS = {
     "past right end along x": (((-2.0, 0.0), (0.0, 0.0)), (1.0, 0.0)),
     "past left end along x": (((0.0, 0.0), (2.0, 0.0)), (-1.0, 0.0)),
