@@ -272,10 +272,13 @@ def run_bench(
 
     Every solved plan is re-validated before it counts; an invalid one raises
     :class:`BenchSoundnessError` and aborts the benchmark.  Raises
-    ``ValueError`` when ``jobs`` < 1 or a roadmap has no scenarios.
+    ``ValueError`` when ``jobs`` < 1, a mode repeats or a roadmap has no
+    scenarios.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"modes {list(modes)} repeat a mode")
     tasks = []
     task_keys = []
     for name in sorted(roadmaps):

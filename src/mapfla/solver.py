@@ -36,6 +36,17 @@ loop with a plain single-edge step (``Workspace.step``) in place of
 ``move_la``: it clears no interference, and a blocked traversal halts the
 attempt.  It is the baseline the benchmark harness compares against.
 
+A round of ``_plan_agent`` is a deterministic function of the agent
+positions and the banned edges (``locked`` and the pass are fixed), so a
+round that starts from the same pair as an earlier round of the pass starts
+a cycle: it never reaches the goal and never leaves the loop, and it would
+repeat until ``round_cap``.  The loop fast-forwards it instead: it appends
+the cycle's moves once per whole cycle that fits under the cap and runs
+only the rounds left over.  Plans, positions and the pass's exit state are
+those of running every round.  The copied moves are not checked again with
+``try_move``: each copy replays moves that were checked from the very state
+the copy starts in, and ends in that state again.
+
 Every push needs the nearest empty vertex and a lexicographically smallest
 shortest path to it.  Both come from one forward BFS from the pushed vertex,
 expanded a hop layer at a time and only as far as targets are consumed;
@@ -119,6 +130,7 @@ class SolveStats:
     move_la_calls: int = 0
     case3_failures: int = 0
     attempts: int = 0
+    rounds_skipped: int = 0
 
 
 @dataclass
@@ -618,15 +630,16 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         ws = Workspace(instance, cache, mode=config.mode, deadline=deadline)
         total.attempts += 1
         try:
-            ok = _solve_single_order(ws, order)
+            ok: bool | None = _solve_single_order(ws, order)
         except _NaiveHalt:
             ok = False
         except _TimeUp:
-            total.move_la_calls += ws.stats.move_la_calls
-            total.case3_failures += ws.stats.case3_failures
-            return finish(TIMEOUT, None)
+            ok = None
         total.move_la_calls += ws.stats.move_la_calls
         total.case3_failures += ws.stats.case3_failures
+        total.rounds_skipped += ws.stats.rounds_skipped
+        if ok is None:
+            return finish(TIMEOUT, None)
         if ok:
             return finish(SOLVED, list(ws.plan))
     return finish(FAILED, None)
@@ -710,7 +723,25 @@ def _plan_agent(
     for disturb in (False, True):
         banned: set[Edge] = set()
         rounds = 0
+        seen: dict[tuple, tuple[int, int]] = {}  # state -> (rounds, plan length)
         while ws.pos[agent] != goal and rounds < round_cap:
+            key = (tuple(ws.pos), frozenset(banned))
+            if key not in seen:
+                seen[key] = (rounds, len(ws.plan))
+            else:  # a cycle: see the module docstring
+                then, start = seen[key]
+                period = rounds - then
+                cycles = (round_cap - rounds) // period
+                if cycles:
+                    skipped = cycles * period
+                    log.debug(
+                        "agent %d at vertex %d: period-%d cycle, %d rounds skipped",
+                        agent, ws.pos[agent], period, skipped,
+                    )
+                    ws.plan.extend(ws.plan[start:] * cycles)
+                    rounds += skipped
+                    ws.stats.rounds_skipped += skipped
+                    continue  # test the cap again
             rounds += 1
             ws.check_time()
             hard = (

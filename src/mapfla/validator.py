@@ -10,8 +10,9 @@ the swept segment.
 Each call keeps its own band table, discarded when the call returns: the
 first time an edge is asked about, the table runs its own ``segdist`` over
 the vertices in the edge's bounding box grown by ``2r`` (found in a list
-sorted by x) and keeps those within ``2r`` of the segment.  Later moves
-along that edge only look up which of those vertices are occupied.
+of the finite vertices sorted by x) and keeps those within ``2r`` of the
+segment.  Later moves along that edge only look up which of those vertices
+are occupied.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ class EdgeBands:
         self.roadmap = instance.roadmap
         self._threshold = clearance_threshold(instance.radius)
         pts = self._points = instance.roadmap.points
-        self._order = sorted(range(len(pts)), key=lambda v: pts[v][0])
+        # Only finite vertices: a NaN x breaks the sort the strips bisect,
+        # and a non-finite vertex is never within 2r (segdist is NaN or inf).
+        # ``c - c == 0`` holds exactly for finite c.
+        self._order = sorted(
+            (v for v, (x, y) in enumerate(pts) if x - x == 0 and y - y == 0),
+            key=lambda v: pts[v][0],
+        )
         self._xs = [pts[v][0] for v in self._order]
         self._bands: dict[Edge, frozenset[int]] = {}
 

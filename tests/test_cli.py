@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from helpers import ordering_instance, star_instance
-from mapfla import fileio
+from mapfla import cli, fileio
 from mapfla.cli import main
 from mapfla.model import Instance, Move, make_roadmap
 
@@ -245,4 +245,16 @@ def test_bench_rejects_empty_modes(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "--modes names no mode" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_rejects_repeated_mode(capsys, monkeypatch):
+    def no_roadmap(*args):
+        raise AssertionError("roadmap built before the modes were checked")
+
+    monkeypatch.setattr(cli, "gen_preset", no_roadmap)
+    code = main(["bench", "--scenarios", "1", "--modes", "la,naive,la", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--modes repeats la" in captured.err
     assert captured.out == ""

@@ -154,6 +154,11 @@ def test_bench_report_csv_shape():
     float(fields[6]), float(fields[7])
 
 
+def test_run_bench_rejects_a_repeated_mode():
+    with pytest.raises(ValueError, match="repeat a mode"):
+        run_bench({}, {}, ["la", "la"], [2], time_limit=1.0)
+
+
 def test_empty_bench_is_empty_report():
     report = run_bench({}, {}, ["la"], [2], time_limit=1.0)
     assert report.rows == ()

@@ -1,5 +1,9 @@
 import logging
+import math
+import random
+import re
 import time
+from functools import partial
 
 import pytest
 
@@ -15,7 +19,9 @@ from helpers import (
     star_instance,
     tiny_instance,
 )
-from mapfla.model import Instance, make_roadmap
+from mapfla.fileio import dumps_plan
+from mapfla.harness import gen_preset, gen_roadmap, gen_scenario, instance_from_scenario
+from mapfla.model import Edge, Instance, edge_key, make_roadmap
 from mapfla.oracle import SOLVED as ORACLE_SOLVED
 from mapfla.oracle import joint_bfs_solve
 from mapfla.solver import (
@@ -23,8 +29,12 @@ from mapfla.solver import (
     NAIVE,
     SOLVED,
     TIMEOUT,
+    GraphView,
     InvalidInstanceError,
     SolverConfig,
+    Workspace,
+    _outer_push,
+    lex_shortest_path,
     solve,
 )
 from mapfla.validator import validate_plan
@@ -202,3 +212,130 @@ def test_stats_are_populated():
     assert result.stats.move_la_calls > 0
     assert result.stats.attempts == 1
     assert result.stats.elapsed > 0
+
+
+# Rounds the copy below ran from a state an earlier round of the same pass
+# started from, one entry per round.
+_repeated_rounds: list[int] = []
+
+
+def _plan_agent_without_fast_forward(
+    ws: Workspace,
+    base: GraphView,
+    agent: int,
+    locked: dict[int, int],
+) -> bool:
+    """The outer loop's per-agent planner as it was before rounds that repeat
+    a state were fast-forwarded: every round up to ``round_cap`` is run.
+    Only the lines that fill ``_repeated_rounds`` are new."""
+    goal = ws.instance.goals[agent]
+    round_cap = 4 * ws.instance.roadmap.n_vertices + 16
+    for disturb in (False, True):
+        banned: set[Edge] = set()
+        rounds = 0
+        seen = set()
+        while ws.pos[agent] != goal and rounds < round_cap:
+            key = (tuple(ws.pos), frozenset(banned))
+            if key in seen:
+                _repeated_rounds.append(agent)
+            seen.add(key)
+            rounds += 1
+            ws.check_time()
+            hard = (
+                frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
+            )
+            view = base.without(frozenset(banned)) if banned else base
+            path = lex_shortest_path(view, ws.pos[agent], goal, hard)
+            if path is None:
+                break
+            advanced = False
+            banned_now = False
+            for i in range(len(path) - 1):
+                u, v = path[i], path[i + 1]
+                if ws.pos[agent] != u:
+                    break  # a push shoved this agent aside; replan from there
+                if v in ws.at:
+                    protect = frozenset(path[i + 1 :])
+                    if not _outer_push(ws, base, v, u, protect, locked, disturb):
+                        banned.add(edge_key(u, v))
+                        banned_now = True
+                        break
+                    advanced = True  # occupancy changed even if the mover moved back
+                    if ws.pos[agent] != u or v in ws.at:
+                        break
+                if not ws.step(base, u, v, frozenset(), 1):
+                    banned.add(edge_key(u, v))
+                    banned_now = True
+                    break
+                advanced = True
+            if ws.pos[agent] == goal:
+                return True
+            if advanced:
+                banned.clear()
+            elif not banned_now:
+                break
+        if ws.pos[agent] == goal:
+            return True
+    return False
+
+
+def _toy_instance(toy_seed):
+    """The benchmark's 12-vertex, 3-agent toy drawn from ``toy_seed``."""
+    rng = random.Random(toy_seed)
+    side = math.sqrt(12 * math.pi * 0.25 / 0.3)
+    rm = gen_roadmap(12, 3.4, 1.0, (side, side), seed=rng.randrange(2**31))
+    k = min(3, rm.n_vertices - 2)
+    return Instance(
+        roadmap=rm,
+        radius=rng.uniform(0.3, 0.49),
+        starts=tuple(rng.sample(range(rm.n_vertices), k)),
+        goals=tuple(rng.sample(range(rm.n_vertices), k)),
+    )
+
+
+def _sparse_instance(scenario, n):
+    rm, radius = gen_preset("sparse-like", 0)
+    sc = gen_scenario(rm, 40, seed=scenario, name="sparse-like")
+    return instance_from_scenario(rm, radius, sc, n)
+
+
+_CYCLING_CASES = [
+    *[
+        pytest.param(partial(_toy_instance, s), mode, FAILED, id=f"toy-{s}-{mode}")
+        for s in (24, 51, 88, 93, 450, 567)
+        for mode in ("la", "naive")
+    ],
+    # 3135 moves: one agent's first pass repeats one state for 642 rounds.
+    pytest.param(partial(_sparse_instance, 15, 40), "la", SOLVED, id="sparse-15-n40"),
+    pytest.param(partial(_sparse_instance, 16, 40), "la", FAILED, id="sparse-16-n40"),
+]
+
+
+@pytest.mark.parametrize("build, mode, status", _CYCLING_CASES)
+def test_fast_forward_gives_the_plans_of_every_round_run(monkeypatch, build, mode, status):
+    inst = build()
+    fast = solve(inst, cfg(mode=mode))
+    assert fast.stats.rounds_skipped > 0  # a cycle was skipped, not run
+    monkeypatch.setattr(mapfla.solver, "_plan_agent", _plan_agent_without_fast_forward)
+    _repeated_rounds.clear()
+    slow = solve(inst, cfg(mode=mode))
+    assert slow.stats.rounds_skipped == 0
+    assert fast.status == slow.status == status
+    assert dumps_plan(fast.plan or []) == dumps_plan(slow.plan or [])
+    # Every cycle here has period 1, so every repeated round is skipped: a
+    # skip one cycle short would be made up by running that cycle.
+    assert fast.stats.rounds_skipped == len(_repeated_rounds)
+    assert fast.stats.move_la_calls < slow.stats.move_la_calls or mode == NAIVE
+
+
+def test_fast_forward_is_logged_and_counted_across_attempts(caplog):
+    caplog.set_level(logging.DEBUG, logger="mapfla.solver")
+    result = solve(_toy_instance(51), cfg(order="random-restarts:3:1"))
+    assert result.status == FAILED
+    assert result.stats.attempts == 3
+    pattern = re.compile(r"agent \d+ at vertex \d+: period-(\d+) cycle, (\d+) rounds skipped")
+    skips = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
+    skips = [(int(m[1]), int(m[2])) for m in skips if m is not None]
+    assert len(skips) >= 3  # at least one per attempt
+    assert sum(n for _, n in skips) == result.stats.rounds_skipped
+    assert all(n % period == 0 for period, n in skips)

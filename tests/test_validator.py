@@ -1,4 +1,6 @@
 import ast
+import itertools
+import math
 import random
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import fuzz_instance, ordering_instance, tiny_instance
 from mapfla.geometry import clearance_threshold, segdist
-from mapfla.model import Instance, Move, State, apply_move, make_roadmap
+from mapfla.model import Instance, Move, Roadmap, State, apply_move, make_roadmap
 from mapfla.oracle import SOLVED, joint_bfs_solve
 from mapfla import validator
 from mapfla.validator import PlanReport, is_valid_transition, validate_plan
@@ -244,6 +246,20 @@ def _mutate(plan, mutation, instance, rng):
     return plan
 
 
+def _with_non_finite_points(instance, rng):
+    """``instance`` with 1 to a quarter of its vertices moved to NaN or
+    infinite coordinates, half of them to a NaN x, the kind that can break a
+    sort by x: such a vertex never interferes, and must not hide one that
+    does from the band table."""
+    pts = list(instance.roadmap.points)
+    for v in rng.sample(range(len(pts)), rng.randint(1, len(pts) // 4)):
+        bad = rng.choice([math.nan, math.inf, -math.inf])
+        x, y = pts[v]
+        pts[v] = rng.choice([(math.nan, y), (bad, y), (x, bad), (bad, bad)])
+    roadmap = Roadmap(tuple(pts), instance.roadmap.edge_list)
+    return Instance(roadmap, instance.radius, instance.starts, instance.goals)
+
+
 @given(
     st.integers(0, 2**31 - 1),
     st.sampled_from(["none", "drop", "swap", "retarget", "agent"]),
@@ -251,12 +267,23 @@ def _mutate(plan, mutation, instance, rng):
 @settings(max_examples=80, deadline=None)
 def test_replay_matches_the_brute_force_segdist_replay(seed, mutation):
     rng = random.Random(seed)
-    inst = fuzz_instance(seed, max_vertices=40, max_agents=8)
+    inst = _with_non_finite_points(fuzz_instance(seed, max_vertices=40, max_agents=8), rng)
     plan, final = _random_walk(inst, rng, rng.randint(0, 40))
     if rng.random() < 0.5:
         inst = Instance(inst.roadmap, inst.radius, inst.starts, final.positions)
     plan = _mutate(plan, mutation, inst, rng)
     assert validate_plan(inst, plan) == reference_validate_plan(inst, plan)
+    # The band table itself, for the segments between 100 vertex pairs: a
+    # vertex it misses only shows in a replay that puts an agent there, and
+    # each pair probes another x-strip.
+    pts, threshold = inst.roadmap.points, clearance_threshold(inst.radius)
+    bands = validator.EdgeBands(inst)
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    for u, w in rng.sample(pairs, min(100, len(pairs))):
+        assert bands(u, w) == {
+            v for v in range(len(pts))
+            if v not in (u, w) and segdist(pts[v], pts[u], pts[w]) <= threshold
+        }, (u, w)
     # Every move open to every agent in every state the replay reaches, with
     # the reason: a move with several agents in its way must name the first.
     state = State(inst.starts)
@@ -288,3 +315,18 @@ def test_band_keeps_a_vertex_exactly_at_the_threshold(axis, side, beyond, blocke
     assert is_valid_transition(State(inst.starts), plan[0], inst) is not blocked
     assert validate_plan(inst, plan) == reference_validate_plan(inst, plan)
     assert validate_plan(inst, plan).ok is not blocked
+
+
+def test_nan_vertex_does_not_hide_an_interferer():
+    # Vertex 4 is 0.32 from edge (0, 1), inside 2r = 0.96.  A NaN x among
+    # the sorted x coordinates used to break the sort, so the bisected strip
+    # skipped vertex 4 and the traversal passed.
+    rm = make_roadmap([(1, 0), (4, 1), (6, 2), (math.nan, 0), (3, 1)], [(0, 1)])
+    assert segdist(rm.points[4], rm.points[0], rm.points[1]) < 0.33
+    inst = Instance(roadmap=rm, radius=0.48, starts=(0, 4), goals=(1, 4))
+    plan = [Move(0, 0, 1)]
+    assert not is_valid_transition(State(inst.starts), plan[0], inst)
+    report = validate_plan(inst, plan)
+    assert report == reference_validate_plan(inst, plan)
+    assert report.reason == "move 0: agent 1 at vertex 4 is within 2r of edge (0, 1)"
+    assert joint_bfs_solve(inst).status != SOLVED
