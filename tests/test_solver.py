@@ -325,7 +325,8 @@ def test_fast_forward_gives_the_plans_of_every_round_run(monkeypatch, build, mod
     # Every cycle here has period 1, so every repeated round is skipped: a
     # skip one cycle short would be made up by running that cycle.
     assert fast.stats.rounds_skipped == len(_repeated_rounds)
-    assert fast.stats.move_la_calls < slow.stats.move_la_calls or mode == NAIVE
+    if mode != NAIVE:  # naive makes no move_la call
+        assert fast.stats.move_la_calls < slow.stats.move_la_calls
 
 
 def test_fast_forward_is_logged_and_counted_across_attempts(caplog):
