@@ -1,5 +1,9 @@
 """Data model: roadmaps embedded in the plane, problem instances, agent states,
-moves, and the precomputed edge/vertex interference structure.
+moves, and the edge/vertex interference relation.
+
+The relation is computed either whole (:func:`build_interference`) or one
+key at a time on first lookup (:func:`interference_table`), the solver's
+per-solve table; both take their bands from one band test.
 
 Conventions used throughout the package:
 
@@ -16,7 +20,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Container, Iterable
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
@@ -102,10 +106,12 @@ Plan = list[Move]
 
 @dataclass(frozen=True)
 class InterferenceCache:
-    """Precomputed interference relation for one (roadmap, radius) pair.
+    """Interference relation for one (roadmap, radius) pair.
 
     ``edge_vertices[e]`` holds every non-endpoint vertex whose occupation
     blocks traversal of ``e``; ``vertex_edges`` is the exact inverse map.
+    :func:`build_interference` fills both maps in full;
+    :func:`interference_table` fills each key on its first lookup.
     """
 
     radius: float
@@ -122,38 +128,110 @@ def _x_sorted(points: tuple[Point2D, ...]) -> tuple[list[int], list[float]]:
     return order, [points[v][0] for v in order]
 
 
-def build_interference(roadmap: Roadmap, radius: float) -> InterferenceCache:
-    """Compute, for every edge, the vertices within ``2r`` of its segment.
+def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[int]]:
+    """The band test of one (roadmap, radius) pair, shared by the eager build
+    and the lazy table: a function from an edge to the vertices in its band.
 
-    The blocked band is closed with tolerance: a vertex at distance
-    ``<= 2r + EPS`` counts as interfering, matching the strict ``> 2r``
-    clearance the validator demands of transitions.  Only the finite
-    vertices in the edge's bounding box, grown by that threshold plus ``EPS``
-    against rounding, are found by an x-sorted sweep and given to ``segdist``.
+    A vertex is in edge ``e``'s band when it is finite, not an endpoint of
+    ``e``, lies in ``e``'s bounding box grown by ``2r + EPS`` plus ``EPS``
+    against rounding (the x strip is found by bisecting the finite vertices
+    sorted by x), and ``segdist`` puts it within ``2r + EPS`` of the segment:
+    the blocked band is closed with tolerance, matching the strict ``> 2r``
+    clearance the validator demands of transitions.
     """
     threshold = clearance_threshold(radius)
     margin = threshold + EPS
     pts = roadmap.points
     order, xs = _x_sorted(pts)
-    edge_vertices: dict[Edge, frozenset[int]] = {}
-    vertex_edges: dict[int, set[Edge]] = {v: set() for v in range(len(pts))}
-    for e in sorted(roadmap.edge_set):
+
+    def band(e: Edge) -> frozenset[int]:
         u, w = e
         a, b = pts[u], pts[w]
-        lo = bisect_left(xs, min(a[0], b[0]) - margin)
-        hi = bisect_right(xs, max(a[0], b[0]) + margin)
-        ylo, yhi = min(a[1], b[1]) - margin, max(a[1], b[1]) + margin
-        hits = sorted(
-            v for v in order[lo:hi] if ylo <= pts[v][1] <= yhi and v != u and v != w
+        (ax, ay), (bx, by) = a, b
+        if bx < ax:  # swaps, not min and max: they cost a quarter as much
+            ax, bx = bx, ax
+        if by < ay:
+            ay, by = by, ay
+        ylo, yhi = ay - margin, by + margin
+        return frozenset([
+            v for v in order[bisect_left(xs, ax - margin):bisect_right(xs, bx + margin)]
+            if ylo <= pts[v][1] <= yhi and v != u and v != w
             and segdist(pts[v], a, b) <= threshold
-        )
-        for v in hits:
-            vertex_edges[v].add(e)
-        edge_vertices[e] = frozenset(hits)
+        ])
+
+    return band
+
+
+def _inverse(
+    edge_vertices: dict[Edge, frozenset[int]], n_vertices: int
+) -> dict[int, frozenset[Edge]]:
+    """Each vertex's edges: the exact inverse of a complete ``edge_vertices``."""
+    inverse: dict[int, list[Edge]] = {v: [] for v in range(n_vertices)}
+    for e, band in edge_vertices.items():
+        for v in band:
+            inverse[v].append(e)
+    return {v: frozenset(es) for v, es in inverse.items()}
+
+
+class _FilledOnUse(dict):
+    """A map of :func:`interference_table`: a hit is a plain dict lookup; a
+    miss on one of ``keys`` computes the value with ``fill`` and stores it.
+    Any other key gives None and is not stored."""
+
+    __slots__ = ("_fill", "_keys")
+
+    def __init__(self, fill: Callable, keys: Container):
+        super().__init__()
+        self._fill = fill
+        self._keys = keys
+
+    def __missing__(self, key):
+        if key not in self._keys:
+            return None
+        value = self[key] = self._fill(key)
+        return value
+
+
+def interference_table(roadmap: Roadmap, radius: float) -> InterferenceCache:
+    """The relation of :func:`build_interference`, computed on first lookup.
+
+    An edge's band is computed the first time the edge is looked up.  The
+    first lookup of a vertex completes the table: a vertex's edges need the
+    band of every edge that may pass near it, and computing the rest in one
+    pass costs no more than the eager build.  It is meant to live for one
+    solve; ``len(edge_vertices)`` is the number of bands computed so far.
+    """
+    edge_vertices = _FilledOnUse(_band_test(roadmap, radius), roadmap.edge_set)
+    inverse: dict[int, frozenset[Edge]] = {}
+
+    def edges_of(v: int) -> frozenset[Edge]:
+        if not inverse:
+            complete = {e: edge_vertices[e] for e in roadmap.edge_set}
+            inverse.update(_inverse(complete, roadmap.n_vertices))
+        return inverse[v]
+
     return InterferenceCache(
         radius=radius,
         edge_vertices=edge_vertices,
-        vertex_edges={v: frozenset(s) for v, s in vertex_edges.items()},
+        vertex_edges=_FilledOnUse(edges_of, range(roadmap.n_vertices)),
+    )
+
+
+def build_interference(roadmap: Roadmap, radius: float) -> InterferenceCache:
+    """Compute, for every edge, the vertices within ``2r`` of its segment,
+    and each vertex's edges as the exact inverse.
+
+    The bands come from the same test as :func:`interference_table`'s: only
+    the finite vertices in the edge's bounding box, grown by the threshold
+    plus ``EPS`` against rounding, are found by an x-sorted sweep and given
+    to ``segdist``.
+    """
+    band = _band_test(roadmap, radius)
+    edge_vertices = {e: band(e) for e in sorted(roadmap.edge_set)}
+    return InterferenceCache(
+        radius=radius,
+        edge_vertices=edge_vertices,
+        vertex_edges=_inverse(edge_vertices, roadmap.n_vertices),
     )
 
 

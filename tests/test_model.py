@@ -16,6 +16,7 @@ from mapfla.model import (
     build_interference,
     edge_key,
     empty_vertices,
+    interference_table,
     make_roadmap,
     validate_roadmap,
 )
@@ -128,10 +129,41 @@ def exhaustive_pair_issues(points, r):
     return issues
 
 
-def assert_sweep_matches_exhaustive(points, edges, r):
+def assert_table_matches_build(rm, r, cache, lookup_seed):
+    """Every key of the lazy table, looked up in a drawn order, gives the
+    eager build's value; a key outside either map gives None and stores
+    nothing."""
+    table = interference_table(rm, r)
+    keys = [(table.edge_vertices, cache.edge_vertices, e) for e in rm.edge_set]
+    keys += [(table.vertex_edges, cache.vertex_edges, v) for v in range(rm.n_vertices)]
+    random.Random(lookup_seed).shuffle(keys)
+    n = rm.n_vertices
+    outside = [(table.vertex_edges, v) for v in (-1, n)]
+    outside += [(table.edge_vertices, e) for e in ((0, 0), (n, n + 1), (-1, 0))]
+    outside += [
+        (table.edge_vertices, (u, v))
+        for u in range(min(n, 4))
+        for v in range(u + 1, n)
+        if (u, v) not in rm.edge_set
+    ][:8]
+    for i, (lazy, eager, key) in enumerate(keys):
+        if i % 4 == 0:  # between fills too
+            lazy_map, bad = outside[i // 4 % len(outside)]
+            before = dict(lazy_map)
+            assert lazy_map[bad] is None
+            assert dict(lazy_map) == before
+        assert lazy[key] == eager[key]
+    for lazy_map, bad in outside:
+        assert lazy_map[bad] is None
+    assert table.edge_vertices == cache.edge_vertices
+    assert table.vertex_edges == cache.vertex_edges
+
+
+def assert_sweep_matches_exhaustive(points, edges, r, lookup_seed=0):
     rm = make_roadmap(points, edges)
     cache = build_interference(rm, r)
     assert cache.edge_vertices == brute_force_interference(rm, r)
+    assert_table_matches_build(rm, r, cache, lookup_seed)
     report = validate_roadmap(Instance(make_roadmap(points, []), r, (), ()))
     non_finite = [line for line in report.issues if line.startswith("vertex ")]
     assert len(non_finite) == sum(
@@ -164,7 +196,7 @@ def _sweep_cases(draw):
             st.sampled_from([0.25, 0.5, 1.0, 1.5]),  # lattice distances at exactly 2r
         )
     )
-    return points, edges, r
+    return points, edges, r, draw(st.integers(0, 2**32))  # table lookup order
 
 
 @given(_sweep_cases())

@@ -191,13 +191,13 @@ def test_timeout_status():
 
 
 def test_time_limit_and_elapsed_cover_setup(monkeypatch):
-    build = mapfla.solver.build_interference
+    build = mapfla.solver.interference_table
 
     def slow_build(*args):
         time.sleep(0.2)
         return build(*args)
 
-    monkeypatch.setattr(mapfla.solver, "build_interference", slow_build)
+    monkeypatch.setattr(mapfla.solver, "interference_table", slow_build)
     inst = chain_clear_instance()
     assert solve(inst, cfg(time_limit=0.1)).status == TIMEOUT
     result = solve(inst, cfg())
@@ -212,6 +212,20 @@ def test_stats_are_populated():
     assert result.stats.move_la_calls > 0
     assert result.stats.attempts == 1
     assert result.stats.elapsed > 0
+
+
+def test_a_dense_solve_computes_few_edge_bands(caplog):
+    # The interference table computes a band on first use: a small solve on
+    # a dense roadmap reads a few percent of them.
+    roadmap, radius = gen_preset("dense-like", 0)
+    inst = instance_from_scenario(roadmap, radius, gen_scenario(roadmap, 4, seed=0))
+    caplog.set_level(logging.INFO, logger="mapfla.solver")
+    result = solve(inst, cfg())
+    assert result.status == SOLVED
+    assert 0 < result.stats.bands_computed < 0.1 * roadmap.n_edges
+    assert caplog.records[-1].getMessage().endswith(
+        f", {result.stats.bands_computed} of {roadmap.n_edges} edge bands computed"
+    )
 
 
 # Rounds the copy below ran from a state an earlier round of the same pass
