@@ -9,8 +9,6 @@ from .model import (
     Roadmap,
     State,
     apply_move,
-    build_interference,
-    empty_vertices,
     make_roadmap,
     validate_roadmap,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "SolverConfig",
     "State",
     "apply_move",
-    "build_interference",
     "dist",
-    "empty_vertices",
     "is_valid_transition",
     "joint_bfs_solve",
     "make_roadmap",

@@ -19,7 +19,6 @@ from .model import Instance
 from .solver import (
     SOLVED,
     TIMEOUT,
-    InvalidInstanceError,
     SolverConfig,
     check_instance,
     solve,
@@ -214,16 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except fileio.FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except InvalidInstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError, KeyError) as exc:
+    except (_UsageError, fileio.FileFormatError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

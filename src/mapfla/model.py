@@ -1,9 +1,12 @@
 """Data model: roadmaps embedded in the plane, problem instances, agent states,
 moves, and the edge/vertex interference relation.
 
-The relation is computed either whole (:func:`build_interference`) or one
-key at a time on first lookup (:func:`interference_table`), the solver's
-per-solve table; both take their bands from one band test.
+The relation is computed one key at a time on first lookup by
+:func:`interference_table`, the solver's per-solve table.  Its band test and
+the separation check of :func:`validate_roadmap` share one sort of the
+vertices by x per roadmap (:attr:`Roadmap.x_order`).  The start/goal
+assignment check (:func:`assignment_issues`) serves roadmap validation, the
+plan validator and the oracle.
 
 Conventions used throughout the package:
 
@@ -64,6 +67,16 @@ class Roadmap:
             nbrs[v].add(u)
         return tuple(tuple(sorted(s)) for s in nbrs)
 
+    @cached_property
+    def x_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Ids of the finite vertices sorted by x, and their x coordinates."""
+        pts = self.points
+        order = tuple(sorted(
+            (v for v, (x, y) in enumerate(pts) if math.isfinite(x) and math.isfinite(y)),
+            key=lambda v: pts[v][0],
+        ))
+        return order, tuple(pts[v][0] for v in order)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -110,7 +123,6 @@ class InterferenceCache:
 
     ``edge_vertices[e]`` holds every non-endpoint vertex whose occupation
     blocks traversal of ``e``; ``vertex_edges`` is the exact inverse map.
-    :func:`build_interference` fills both maps in full;
     :func:`interference_table` fills each key on its first lookup.
     """
 
@@ -119,18 +131,9 @@ class InterferenceCache:
     vertex_edges: dict[int, frozenset[Edge]]
 
 
-def _x_sorted(points: tuple[Point2D, ...]) -> tuple[list[int], list[float]]:
-    """Ids of the finite points sorted by x, and their x coordinates."""
-    order = sorted(
-        (v for v, (x, y) in enumerate(points) if math.isfinite(x) and math.isfinite(y)),
-        key=lambda v: points[v][0],
-    )
-    return order, [points[v][0] for v in order]
-
-
 def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[int]]:
-    """The band test of one (roadmap, radius) pair, shared by the eager build
-    and the lazy table: a function from an edge to the vertices in its band.
+    """The band test of one (roadmap, radius) pair: a function from an edge
+    to the vertices in its band.
 
     A vertex is in edge ``e``'s band when it is finite, not an endpoint of
     ``e``, lies in ``e``'s bounding box grown by ``2r + EPS`` plus ``EPS``
@@ -142,7 +145,7 @@ def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[in
     threshold = clearance_threshold(radius)
     margin = threshold + EPS
     pts = roadmap.points
-    order, xs = _x_sorted(pts)
+    order, xs = roadmap.x_order
 
     def band(e: Edge) -> frozenset[int]:
         u, w = e
@@ -160,17 +163,6 @@ def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[in
         ])
 
     return band
-
-
-def _inverse(
-    edge_vertices: dict[Edge, frozenset[int]], n_vertices: int
-) -> dict[int, frozenset[Edge]]:
-    """Each vertex's edges: the exact inverse of a complete ``edge_vertices``."""
-    inverse: dict[int, list[Edge]] = {v: [] for v in range(n_vertices)}
-    for e, band in edge_vertices.items():
-        for v in band:
-            inverse[v].append(e)
-    return {v: frozenset(es) for v, es in inverse.items()}
 
 
 class _FilledOnUse(dict):
@@ -193,45 +185,32 @@ class _FilledOnUse(dict):
 
 
 def interference_table(roadmap: Roadmap, radius: float) -> InterferenceCache:
-    """The relation of :func:`build_interference`, computed on first lookup.
+    """For every edge, the vertices within ``2r`` of its segment, and each
+    vertex's edges as the exact inverse, computed on first lookup.
 
     An edge's band is computed the first time the edge is looked up.  The
     first lookup of a vertex completes the table: a vertex's edges need the
-    band of every edge that may pass near it, and computing the rest in one
-    pass costs no more than the eager build.  It is meant to live for one
-    solve; ``len(edge_vertices)`` is the number of bands computed so far.
+    band of every edge that may pass near it, and one pass over the missing
+    bands costs less than testing each vertex against candidate edges.  It
+    is meant to live for one solve; ``len(edge_vertices)`` is the number of
+    bands computed so far.
     """
     edge_vertices = _FilledOnUse(_band_test(roadmap, radius), roadmap.edge_set)
     inverse: dict[int, frozenset[Edge]] = {}
 
     def edges_of(v: int) -> frozenset[Edge]:
         if not inverse:
-            complete = {e: edge_vertices[e] for e in roadmap.edge_set}
-            inverse.update(_inverse(complete, roadmap.n_vertices))
+            near: dict[int, list[Edge]] = {u: [] for u in range(roadmap.n_vertices)}
+            for e in roadmap.edge_set:
+                for u in edge_vertices[e]:
+                    near[u].append(e)
+            inverse.update((u, frozenset(es)) for u, es in near.items())
         return inverse[v]
 
     return InterferenceCache(
         radius=radius,
         edge_vertices=edge_vertices,
         vertex_edges=_FilledOnUse(edges_of, range(roadmap.n_vertices)),
-    )
-
-
-def build_interference(roadmap: Roadmap, radius: float) -> InterferenceCache:
-    """Compute, for every edge, the vertices within ``2r`` of its segment,
-    and each vertex's edges as the exact inverse.
-
-    The bands come from the same test as :func:`interference_table`'s: only
-    the finite vertices in the edge's bounding box, grown by the threshold
-    plus ``EPS`` against rounding, are found by an x-sorted sweep and given
-    to ``segdist``.
-    """
-    band = _band_test(roadmap, radius)
-    edge_vertices = {e: band(e) for e in sorted(roadmap.edge_set)}
-    return InterferenceCache(
-        radius=radius,
-        edge_vertices=edge_vertices,
-        vertex_edges=_inverse(edge_vertices, roadmap.n_vertices),
     )
 
 
@@ -253,6 +232,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         order, testing only the finite pairs an x-sorted sweep finds within
         ``2r + 2 EPS`` of each other along both axes
       * start/goal assignments out of range or non-injective
+        (:func:`assignment_issues`)
     """
     issues: list[str] = []
     rm = instance.roadmap
@@ -283,7 +263,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         limit = clearance_threshold(r)
         margin = limit + EPS
         pts = rm.points
-        order, xs = _x_sorted(pts)
+        order, xs = rm.x_order
         close = []
         for i, u in enumerate(order):
             x, y = pts[u]
@@ -296,6 +276,16 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
                 f"separation must exceed 2r = {2 * r:.9g}"
             )
 
+    issues += assignment_issues(instance)
+    return InstanceReport(ok=not issues, issues=tuple(issues))
+
+
+def assignment_issues(instance: Instance) -> list[str]:
+    """One line per start or goal off the roadmap or shared by two agents,
+    then one if the start and goal counts differ; empty iff the assignment
+    is sound.  O(K)."""
+    issues: list[str] = []
+    n = instance.roadmap.n_vertices
     for name, assignment in (("start", instance.starts), ("goal", instance.goals)):
         for agent, v in enumerate(assignment):
             if not 0 <= v < n:
@@ -312,13 +302,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         issues.append(
             f"{len(instance.starts)} starts but {len(instance.goals)} goals"
         )
-
-    return InstanceReport(ok=not issues, issues=tuple(issues))
-
-
-def empty_vertices(state: State, roadmap: Roadmap) -> frozenset[int]:
-    """Vertices not occupied by any agent."""
-    return frozenset(range(roadmap.n_vertices)) - set(state.positions)
+    return issues
 
 
 def apply_move(state: State, move: Move) -> State:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .model import Instance, Move, Plan
-from .validator import EdgeBands, assignment_error
+from .model import Instance, Move, Plan, assignment_issues
+from .validator import EdgeBands
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -35,9 +35,9 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     Successors are generated agents-by-id then neighbours-by-id, so plans
     are canonical.  A malformed start/goal assignment raises ``ValueError``.
     """
-    err = assignment_error(instance)
-    if err is not None:
-        raise ValueError(f"invalid instance: {err}")
+    issues = assignment_issues(instance)
+    if issues:
+        raise ValueError(f"invalid instance: {issues[0]}")
     rm = instance.roadmap
     start = tuple(instance.starts)
     goal = tuple(instance.goals)

@@ -294,13 +294,6 @@ class Workspace:
         self.plan.append(Move(agent, u, v))
         return True
 
-    def traverse_edge_naive(self, u: int, v: int) -> bool:
-        """Apply the traversal iff it is valid as-is; no clearing attempted."""
-        agent = self.at.get(u)
-        if agent is None:
-            return False
-        return self.try_move(agent, u, v)
-
     @property
     def step(self) -> Callable[..., bool]:
         """The single-edge traversal of ``mode``: ``move_la``, or a plain move
@@ -310,7 +303,9 @@ class Workspace:
         return self._naive_step if self.mode == NAIVE else self.move_la
 
     def _naive_step(self, view: GraphView, u: int, v: int, *_) -> bool:
-        if self.traverse_edge_naive(u, v):
+        """Apply the traversal iff it is valid as-is; no clearing attempted."""
+        agent = self.at.get(u)
+        if agent is not None and self.try_move(agent, u, v):
             return True
         raise _NaiveHalt()
 
@@ -662,6 +657,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
 def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
     order = config.order
     identity = tuple(range(k))
+    if isinstance(order, str) and order.startswith("perm:"):
+        order = tuple(int(t) for t in order[len("perm:") :].split(",") if t != "")
     if isinstance(order, (tuple, list)):
         perm = tuple(order)
         _require_permutation(perm, k)
@@ -669,11 +666,6 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
         return
     if order == "index":
         yield identity
-        return
-    if order.startswith("perm:"):
-        perm = tuple(int(t) for t in order[len("perm:") :].split(",") if t != "")
-        _require_permutation(perm, k)
-        yield perm
         return
     if order.startswith("random-restarts:"):
         parts = order.split(":")

@@ -1,8 +1,10 @@
 """Independent plan checker.
 
 This module is the arbiter for every other component: it shares nothing with
-the solver and never consults the precomputed interference cache, so a solver
-bug cannot hide behind a cache bug.  A transition is valid iff the mover
+the solver and never consults the solver's interference table, so a solver
+bug cannot hide behind a table bug.  All it takes from the data model besides
+its types and ``edge_key`` is the start/goal assignment check,
+:func:`~mapfla.model.assignment_issues`.  A transition is valid iff the mover
 actually sits on the edge's source vertex, the edge exists, the target is
 free, and every other agent keeps a strictly-greater-than-``2r`` distance to
 the swept segment.
@@ -21,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .geometry import EPS, clearance_threshold, segdist
-from .model import Edge, Instance, Move, Plan, State, edge_key
+from .model import Edge, Instance, Move, Plan, State, assignment_issues, edge_key
 
 
 class EdgeBands:
@@ -107,29 +109,14 @@ class PlanReport:
     reason: str | None = None
 
 
-def assignment_error(instance: Instance) -> str | None:
-    """Why the start/goal assignment is malformed, or None; O(K)."""
-    starts, goals = instance.starts, instance.goals
-    if len(starts) != len(goals):
-        return f"{len(starts)} starts but {len(goals)} goals"
-    n = instance.roadmap.n_vertices
-    for name, assignment in (("start", starts), ("goal", goals)):
-        taken: dict[int, int] = {}
-        for agent, v in enumerate(assignment):
-            if not 0 <= v < n:
-                return f"{name} of agent {agent} is vertex {v}, not in 0..{n - 1}"
-            if v in taken:
-                return f"{name} vertex {v} assigned to agents {taken[v]} and {agent}"
-            taken[v] = agent
-    return None
-
-
 def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
     """Replay ``plan`` from the instance start; ok iff every transition is
     valid and the terminal state places every agent on its goal."""
-    err = assignment_error(instance)
-    if err is not None:
-        return PlanReport(ok=False, failed_index=0, reason=f"invalid instance: {err}")
+    issues = assignment_issues(instance)
+    if issues:
+        return PlanReport(
+            ok=False, failed_index=0, reason=f"invalid instance: {issues[0]}"
+        )
     positions = list(instance.starts)
     occupant = {v: agent for agent, v in enumerate(positions)}
     bands = EdgeBands(instance)

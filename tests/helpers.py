@@ -8,7 +8,14 @@ import random
 
 from mapfla.harness import gen_roadmap
 from mapfla.geometry import segdist
-from mapfla.model import Instance, State, apply_move, edge_key, make_roadmap
+from mapfla.model import (
+    Instance,
+    State,
+    apply_move,
+    edge_key,
+    interference_table,
+    make_roadmap,
+)
 from mapfla.validator import is_valid_transition
 
 
@@ -103,9 +110,21 @@ def retry_instance() -> Instance:
     )
 
 
+def full_table(roadmap, radius):
+    """An :func:`interference_table` with every edge and every vertex already
+    looked up, so that its maps hold the whole relation: on a table not yet
+    filled, ``.values()`` sees only the bands computed so far."""
+    table = interference_table(roadmap, radius)
+    for e in sorted(roadmap.edge_set):
+        table.edge_vertices[e]
+    for v in range(roadmap.n_vertices):
+        table.vertex_edges[v]
+    return table
+
+
 def brute_force_interference(roadmap, radius):
     """Every edge's interfering vertices by testing each edge against every
-    vertex: the reference the interference build must equal."""
+    vertex: the reference the interference table must equal."""
     threshold = 2 * radius + 1e-9
     out = {}
     for u, v in roadmap.edge_set:
@@ -121,8 +140,6 @@ def brute_force_interference(roadmap, radius):
 
 def interference_free_instance(seed: int, n_agents: int = 4) -> Instance:
     """Random instance with the radius shrunk until no edge has interferers."""
-    from mapfla.model import build_interference
-
     rng = random.Random(seed)
     rm = _random_roadmap(rng, n_vertices=rng.randint(12, 24))
     clear = min(
@@ -139,7 +156,7 @@ def interference_free_instance(seed: int, n_agents: int = 4) -> Instance:
     starts = tuple(rng.sample(range(rm.n_vertices), k))
     goals = tuple(rng.sample(range(rm.n_vertices), k))
     inst = Instance(roadmap=rm, radius=radius, starts=starts, goals=goals)
-    assert not any(build_interference(rm, radius).edge_vertices.values())
+    assert not any(full_table(rm, radius).edge_vertices.values())
     return inst
 
 

@@ -9,7 +9,13 @@ import time
 import numpy as np
 
 import fuzz_contracts
-from helpers import fuzz_instance, ordering_instance, star_instance, tiny_instance
+from helpers import (
+    full_table,
+    fuzz_instance,
+    ordering_instance,
+    star_instance,
+    tiny_instance,
+)
 from mapfla.geometry import segdist
 from mapfla.harness import (
     gen_preset,
@@ -18,7 +24,7 @@ from mapfla.harness import (
     instance_from_scenario,
     run_bench,
 )
-from mapfla.model import build_interference, edge_key
+from mapfla.model import edge_key
 from mapfla.oracle import SOLVED as ORACLE_SOLVED
 from mapfla.oracle import UNSOLVABLE, joint_bfs_solve
 from mapfla.solver import FAILED, SOLVED, SolverConfig, solve
@@ -190,7 +196,7 @@ def test_criterion_7_geometry():
     for seed in range(6):
         roadmaps.append((gen_roadmap(20 + 7 * seed, 3.8, 1.0, (14, 14), seed), 0.45))
     for roadmap, radius in roadmaps:
-        cache = build_interference(roadmap, radius)
+        cache = full_table(roadmap, radius)
         pts = np.array(roadmap.points)
         threshold = 2 * radius + 1e-9
         for u, v in roadmap.edge_set:

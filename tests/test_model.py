@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_interference, star_instance
+from helpers import brute_force_interference, full_table, star_instance
 import mapfla.model
 from mapfla.geometry import clearance_threshold, dist, segdist
 from mapfla.model import (
@@ -13,9 +13,8 @@ from mapfla.model import (
     Move,
     State,
     apply_move,
-    build_interference,
+    assignment_issues,
     edge_key,
-    empty_vertices,
     interference_table,
     make_roadmap,
     validate_roadmap,
@@ -28,7 +27,7 @@ from mapfla.model import (
 def test_far_apart_edges_have_empty_interference():
     # two parallel edges, everything more than 10r apart
     rm = make_roadmap([(0, 0), (1, 0), (0, 8), (1, 8)], [(0, 1), (2, 3)])
-    cache = build_interference(rm, 0.05)
+    cache = full_table(rm, 0.05)
     assert all(not s for s in cache.edge_vertices.values())
 
 
@@ -36,14 +35,14 @@ def test_perpendicular_vertex_inside_band():
     # third vertex at perpendicular distance 1.5r from the segment interior
     r = 0.4
     rm = make_roadmap([(0, 0), (2, 0), (1, 1.5 * r)], [(0, 1)])
-    cache = build_interference(rm, r)
+    cache = full_table(rm, r)
     assert cache.edge_vertices[(0, 1)] == frozenset({2})
     assert cache.vertex_edges[2] == frozenset({(0, 1)})
 
 
 def test_star_fan_interference_pattern():
     inst = star_instance()
-    cache = build_interference(inst.roadmap, inst.radius)
+    cache = full_table(inst.roadmap, inst.radius)
     assert cache.edge_vertices == brute_force_interference(inst.roadmap, inst.radius)
     # middle leaves block both flanking hub edges, end leaves one each
     assert cache.vertex_edges[2] == frozenset({(0, 1), (0, 3)})
@@ -54,7 +53,7 @@ def test_star_fan_interference_pattern():
 
 def test_endpoints_never_interfere_with_own_edge():
     rm = make_roadmap([(0, 0), (0.5, 0), (1.0, 0)], [(0, 1), (1, 2), (0, 2)])
-    cache = build_interference(rm, 0.2)
+    cache = full_table(rm, 0.2)
     for (u, v), hits in cache.edge_vertices.items():
         assert u not in hits and v not in hits
 
@@ -68,7 +67,7 @@ def test_cache_maps_are_exact_inverses():
             edge_key(rng.randrange(n), rng.randrange(n)) for _ in range(n)
         }
         rm = make_roadmap(pts, [e for e in edges if e[0] != e[1]])
-        cache = build_interference(rm, rng.uniform(0.05, 0.8))
+        cache = full_table(rm, rng.uniform(0.05, 0.8))
         for e, hits in cache.edge_vertices.items():
             for w in hits:
                 assert e in cache.vertex_edges[w]
@@ -80,8 +79,8 @@ def test_cache_maps_are_exact_inverses():
 def test_cache_independent_of_edge_insertion_order():
     pts = [(0, 0), (1, 0), (0.5, 0.4), (2, 1)]
     edges = [(0, 1), (1, 3), (2, 3)]
-    a = build_interference(make_roadmap(pts, edges), 0.3)
-    b = build_interference(make_roadmap(pts, list(reversed(edges))), 0.3)
+    a = full_table(make_roadmap(pts, edges), 0.3)
+    b = full_table(make_roadmap(pts, list(reversed(edges))), 0.3)
     assert a.edge_vertices == b.edge_vertices
     assert a.vertex_edges == b.vertex_edges
 
@@ -105,12 +104,19 @@ def test_small_radius_empties_all_interference():
         )
         if clear <= 0:
             continue
-        cache = build_interference(rm, clear / 2.5)
+        cache = full_table(rm, clear / 2.5)
         assert all(not s for s in cache.edge_vertices.values())
         assert cache.edge_vertices == brute_force_interference(rm, clear / 2.5)
 
 
 # -- broad phase: the x-sorted sweep equals the exhaustive scans --------------
+
+
+def test_x_order_is_the_finite_vertices_by_x_sorted_once_per_roadmap():
+    pts = [(2.0, 0.0), (math.nan, 1.0), (-1.0, 5.0), (0.5, math.inf), (0.0, 0.0)]
+    rm = make_roadmap(pts, [])
+    assert rm.x_order == ((2, 4, 0), (-1.0, 0.0, 2.0))
+    assert rm.x_order is rm.x_order
 
 
 def exhaustive_pair_issues(points, r):
@@ -129,13 +135,13 @@ def exhaustive_pair_issues(points, r):
     return issues
 
 
-def assert_table_matches_build(rm, r, cache, lookup_seed):
-    """Every key of the lazy table, looked up in a drawn order, gives the
-    eager build's value; a key outside either map gives None and stores
-    nothing."""
+def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
+    """Every key of a fresh table, looked up in a drawn order, gives the
+    value of the fully looked-up table ``full``; a key outside either map
+    gives None and stores nothing."""
     table = interference_table(rm, r)
-    keys = [(table.edge_vertices, cache.edge_vertices, e) for e in rm.edge_set]
-    keys += [(table.vertex_edges, cache.vertex_edges, v) for v in range(rm.n_vertices)]
+    keys = [(table.edge_vertices, full.edge_vertices, e) for e in rm.edge_set]
+    keys += [(table.vertex_edges, full.vertex_edges, v) for v in range(rm.n_vertices)]
     random.Random(lookup_seed).shuffle(keys)
     n = rm.n_vertices
     outside = [(table.vertex_edges, v) for v in (-1, n)]
@@ -146,24 +152,29 @@ def assert_table_matches_build(rm, r, cache, lookup_seed):
         for v in range(u + 1, n)
         if (u, v) not in rm.edge_set
     ][:8]
-    for i, (lazy, eager, key) in enumerate(keys):
+    for i, (lazy, filled, key) in enumerate(keys):
         if i % 4 == 0:  # between fills too
             lazy_map, bad = outside[i // 4 % len(outside)]
             before = dict(lazy_map)
             assert lazy_map[bad] is None
             assert dict(lazy_map) == before
-        assert lazy[key] == eager[key]
+        assert lazy[key] == filled[key]
     for lazy_map, bad in outside:
         assert lazy_map[bad] is None
-    assert table.edge_vertices == cache.edge_vertices
-    assert table.vertex_edges == cache.vertex_edges
+    assert table.edge_vertices == full.edge_vertices
+    assert table.vertex_edges == full.vertex_edges
 
 
 def assert_sweep_matches_exhaustive(points, edges, r, lookup_seed=0):
     rm = make_roadmap(points, edges)
-    cache = build_interference(rm, r)
-    assert cache.edge_vertices == brute_force_interference(rm, r)
-    assert_table_matches_build(rm, r, cache, lookup_seed)
+    full = full_table(rm, r)
+    bands = brute_force_interference(rm, r)
+    assert full.edge_vertices == bands
+    assert full.vertex_edges == {
+        v: frozenset(e for e, band in bands.items() if v in band)
+        for v in range(rm.n_vertices)
+    }
+    assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed)
     report = validate_roadmap(Instance(make_roadmap(points, []), r, (), ()))
     non_finite = [line for line in report.issues if line.startswith("vertex ")]
     assert len(non_finite) == sum(
@@ -223,7 +234,7 @@ def test_vertex_at_the_threshold_past_an_edge_end(where, beyond):
     points = [a, b, (dx * off, dy * off)]
     rm = make_roadmap(points, [(0, 1)])
     expected = frozenset({2}) if beyond == 0.0 else frozenset()
-    assert build_interference(rm, 0.5).edge_vertices[(0, 1)] == expected
+    assert full_table(rm, 0.5).edge_vertices[(0, 1)] == expected
     assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
 
 
@@ -247,7 +258,7 @@ def test_sweep_margin_absorbs_rounding_past_the_threshold(axis):
     swap = (lambda p: p) if axis == "x" else (lambda p: (p[1], p[0]))
     points = [swap((-4.0, 0.0)), swap((end, 0.0)), swap((far, 0.0))]
     rm = make_roadmap(points, [(0, 1)])
-    assert build_interference(rm, 0.5).edge_vertices[(0, 1)] == frozenset({2})
+    assert full_table(rm, 0.5).edge_vertices[(0, 1)] == frozenset({2})
     assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
     pair = Instance(make_roadmap(points[1:], []), 0.5, (), ())
     assert len(validate_roadmap(pair).issues) == 1
@@ -280,7 +291,7 @@ def test_geometry_work_grows_with_the_roadmap_not_its_square(monkeypatch):
 
     monkeypatch.setattr(mapfla.model, "segdist", counted("segdist", segdist))
     monkeypatch.setattr(mapfla.model, "dist", counted("dist", dist))
-    cache = build_interference(rm, 0.48)
+    cache = full_table(rm, 0.48)
     assert validate_roadmap(Instance(rm, 0.48, (0,), (0,))).ok
     assert any(cache.edge_vertices.values())
     # The exhaustive scans make about V segdist calls per edge and V / 2
@@ -337,30 +348,43 @@ def test_bad_radius_reported():
     assert not validate_roadmap(inst).ok
 
 
+_LINE = make_roadmap([(1.2 * i, 0.0) for i in range(3)], [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "edges, starts, goals, issues",
+    [
+        ((), (5,), (1,), ("start of agent 0 is missing vertex 5",)),
+        ((), (0,), (-1,), ("goal of agent 0 is missing vertex -1",)),
+        ((), (0, 0), (1, 2), ("start vertex 0 assigned to agents 0 and 1",)),
+        ((), (0, 1), (2,), ("2 starts but 1 goals",)),
+        (
+            ((1, 1),),
+            (0, 7, 0, -2),
+            (1, 1, 9),
+            (
+                "edge (1, 1) is a self-loop",
+                "start of agent 1 is missing vertex 7",
+                "start of agent 3 is missing vertex -2",
+                "start vertex 0 assigned to agents 0 and 2",
+                "goal of agent 2 is missing vertex 9",
+                "goal vertex 1 assigned to agents 0 and 1",
+                "4 starts but 3 goals",
+            ),
+        ),
+    ],
+)
+def test_malformed_assignment_report_is_pinned(edges, starts, goals, issues):
+    rm = make_roadmap(_LINE.points, _LINE.edge_list + edges)
+    report = validate_roadmap(Instance(rm, 0.3, starts, goals))
+    assert not report.ok
+    assert report.issues == issues
+    assert tuple(assignment_issues(Instance(rm, 0.3, starts, goals))) == tuple(
+        line for line in issues if "self-loop" not in line
+    )
+
+
 # -- state helpers ------------------------------------------------------------
-
-
-def test_empty_vertices_full_house():
-    rm = make_roadmap([(3 * i, 0) for i in range(5)], [(i, i + 1) for i in range(4)])
-    assert empty_vertices(State((0, 1, 2, 3, 4)), rm) == frozenset()
-
-
-def test_empty_vertices_partial():
-    rm = make_roadmap([(3 * i, 0) for i in range(5)], [(i, i + 1) for i in range(4)])
-    assert empty_vertices(State((0, 1)), rm) == frozenset({2, 3, 4})
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=50, deadline=None)
-def test_empty_vertices_is_complement(seed):
-    rng = random.Random(seed)
-    n = rng.randint(2, 12)
-    rm = make_roadmap([(3 * i, 0) for i in range(n)], [])
-    k = rng.randint(1, n)
-    state = State(tuple(rng.sample(range(n), k)))
-    empties = empty_vertices(state, rm)
-    assert empties == {v for v in range(n) if v not in state.positions}
-    assert len(empties) == n - k
 
 
 def test_apply_move_moves_one_agent():

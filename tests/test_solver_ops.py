@@ -218,17 +218,24 @@ def test_push_through_v_from_second_neighbour_after_occupied_first():
     replay(inst, ws.plan)
 
 
-# -- traverse_edge_naive ---------------------------------------------------------
+# -- the naive step ------------------------------------------------------------
+
+
+def naive_step(ws, u, v):
+    """``ws.step`` of a naive workspace, with a halt counted as False."""
+    try:
+        return ws.step(GraphView(ws.instance.roadmap), u, v, frozenset(), 1)
+    except _NaiveHalt:
+        return False
 
 
 def test_traverse_naive_applies_only_valid_moves():
-    inst = chain_clear_instance()
-    ws, _ = make_ws(inst)
-    assert not ws.traverse_edge_naive(0, 1)  # interferer present: halt, no clearing
+    ws = Workspace(chain_clear_instance(), mode=NAIVE)
+    assert not naive_step(ws, 0, 1)  # interferer present: halt, no clearing
     assert ws.plan == []
-    inst2 = corridor_path_instance()
-    ws2, _ = make_ws(inst2)
-    assert ws2.traverse_edge_naive(4, 5)
+    ws2 = Workspace(corridor_path_instance(), mode=NAIVE)
+    assert not naive_step(ws2, 2, 3)  # nobody on vertex 2
+    assert naive_step(ws2, 4, 5)
     assert ws2.plan == [Move(2, 4, 5)]
 
 
@@ -237,7 +244,7 @@ def test_traverse_naive_matches_validator_verdict():
     agreements = 0
     for seed in range(300):
         inst = tiny_instance(seed)
-        ws, _ = make_ws(inst)
+        ws = Workspace(inst, mode=NAIVE)
         agent = rng.randrange(inst.n_agents)
         u = ws.pos[agent]
         nbrs = inst.roadmap.neighbors(u)
@@ -245,7 +252,8 @@ def test_traverse_naive_matches_validator_verdict():
             continue
         v = rng.choice(nbrs)
         expected = is_valid_transition(State(inst.starts), Move(agent, u, v), inst)
-        assert ws.traverse_edge_naive(u, v) == expected
+        assert naive_step(ws, u, v) == expected
+        assert ws.plan == ([Move(agent, u, v)] if expected else [])
         agreements += 1
     assert agreements > 250
 

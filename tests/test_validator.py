@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 
 from helpers import fuzz_instance, ordering_instance, tiny_instance
 from mapfla.geometry import clearance_threshold, segdist
-from mapfla.model import Instance, Move, Roadmap, State, apply_move, make_roadmap
-from mapfla.oracle import SOLVED, joint_bfs_solve
+from mapfla.model import (
+    Instance,
+    Move,
+    Roadmap,
+    State,
+    apply_move,
+    assignment_issues,
+    make_roadmap,
+)
+from mapfla.oracle import SOLVED, UNSOLVABLE, joint_bfs_solve
 from mapfla import validator
 from mapfla.validator import PlanReport, is_valid_transition, validate_plan
 
@@ -130,7 +138,9 @@ def test_validator_is_independent_of_the_solver():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-    assert not names & {"solver", "InterferenceCache", "build_interference"}
+    assert not names & {
+        "solver", "InterferenceCache", "interference_table", "_band_test"
+    }
 
 
 def _assert_invalid_instance(report):
@@ -153,6 +163,39 @@ def test_two_agents_on_one_vertex_is_an_invalid_instance():
 def test_start_goal_count_mismatch_is_an_invalid_instance():
     _assert_invalid_instance(validate_plan(line_instance((0, 1), (0,), n=3), []))
     _assert_invalid_instance(validate_plan(line_instance((0,), (0, 1), n=3), []))
+
+
+@st.composite
+def _assignments(draw):
+    """Start and goal tuples for a 4-vertex line: often of one length and
+    in range, so that sound assignments are drawn as well as broken ones."""
+    k = draw(st.integers(0, 4))
+    vertex = st.integers(0, 3) if draw(st.booleans()) else st.integers(-2, 5)
+
+    def side():
+        unique = draw(st.booleans())
+        return tuple(draw(st.lists(vertex, min_size=k, max_size=k, unique=unique)))
+
+    starts = side()
+    goals = side() if draw(st.booleans()) else tuple(draw(st.lists(vertex, max_size=4)))
+    return starts, goals
+
+
+@given(_assignments())
+@settings(max_examples=300, deadline=None)
+def test_plan_validator_and_oracle_reject_exactly_the_flagged_assignments(case):
+    inst = line_instance(*case, n=4)
+    issues = assignment_issues(inst)
+    report = validate_plan(inst, [])
+    if issues:
+        expected = f"invalid instance: {issues[0]}"
+        assert report == PlanReport(ok=False, failed_index=0, reason=expected)
+        with pytest.raises(ValueError) as raised:
+            joint_bfs_solve(inst, node_budget=1_000)
+        assert str(raised.value) == expected
+    else:
+        assert not (report.reason or "").startswith("invalid instance")
+        assert joint_bfs_solve(inst, node_budget=1_000).status in (SOLVED, UNSOLVABLE)
 
 
 def reference_transition_error(state, move, instance):
