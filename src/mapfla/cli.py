@@ -116,9 +116,6 @@ def cmd_bench(args) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes:
         raise _UsageError("--modes names no mode")
-    repeated = sorted({m for m in modes if modes.count(m) > 1})
-    if repeated:
-        raise _UsageError(f"--modes repeats {', '.join(repeated)}")
     n_values = _parse_n_range(args.n)
     roadmap, radius = gen_preset(args.preset, args.seed)
     scenarios = [

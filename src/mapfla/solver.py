@@ -39,13 +39,11 @@ attempt.  It is the baseline the benchmark harness compares against.
 A round of ``_plan_agent`` is a deterministic function of the agent
 positions and the banned edges (``locked`` and the pass are fixed), so a
 round that starts from the same pair as an earlier round of the pass starts
-a cycle: it never reaches the goal and never leaves the loop, and it would
-repeat until ``round_cap``.  The loop fast-forwards it instead: it appends
-the cycle's moves once per whole cycle that fits under the cap and runs
-only the rounds left over.  Plans, positions and the pass's exit state are
-those of running every round.  The copied moves are not checked again with
-``try_move``: each copy replays moves that were checked from the very state
-the copy starts in, and ends in that state again.
+a cycle that would never reach the goal.  The loop rolls the plan back to
+where that earlier round started, which drops the cycle's moves (they have
+no net effect), and ends the pass.  Each round therefore either ends the
+pass or starts from a pair new to it, and the finite number of pairs bounds
+every pass.
 
 Every push needs the nearest empty vertex and a lexicographically smallest
 shortest path to it.  Both come from one forward BFS from the pushed vertex,
@@ -136,7 +134,6 @@ class SolveStats:
     move_la_calls: int = 0
     case3_failures: int = 0
     attempts: int = 0
-    rounds_skipped: int = 0
     bands_computed: int = 0
 
 
@@ -646,7 +643,6 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
             ok = None
         total.move_la_calls += ws.stats.move_la_calls
         total.case3_failures += ws.stats.case3_failures
-        total.rounds_skipped += ws.stats.rounds_skipped
         if ok is None:
             return finish(TIMEOUT, None)
         if ok:
@@ -725,30 +721,19 @@ def _plan_agent(
     locked: dict[int, int],
 ) -> bool:
     goal = ws.instance.goals[agent]
-    round_cap = 4 * ws.instance.roadmap.n_vertices + 16
     for disturb in (False, True):
         banned: set[Edge] = set()
-        rounds = 0
-        seen: dict[tuple, tuple[int, int]] = {}  # state -> (rounds, plan length)
-        while ws.pos[agent] != goal and rounds < round_cap:
+        seen: dict[tuple, int] = {}  # state -> plan length: see the module docstring
+        while ws.pos[agent] != goal:
             key = (tuple(ws.pos), frozenset(banned))
-            if key not in seen:
-                seen[key] = (rounds, len(ws.plan))
-            else:  # a cycle: see the module docstring
-                then, start = seen[key]
-                period = rounds - then
-                cycles = (round_cap - rounds) // period
-                if cycles:
-                    skipped = cycles * period
-                    log.debug(
-                        "agent %d at vertex %d: period-%d cycle, %d rounds skipped",
-                        agent, ws.pos[agent], period, skipped,
-                    )
-                    ws.plan.extend(ws.plan[start:] * cycles)
-                    rounds += skipped
-                    ws.stats.rounds_skipped += skipped
-                    continue  # test the cap again
-            rounds += 1
+            if key in seen:
+                log.debug(
+                    "agent %d at vertex %d: cycle cut, %d moves dropped",
+                    agent, ws.pos[agent], len(ws.plan) - seen[key],
+                )
+                ws.rollback(seen[key])
+                break
+            seen[key] = len(ws.plan)
             ws.check_time()
             hard = (
                 frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
@@ -757,8 +742,9 @@ def _plan_agent(
             path = lex_shortest_path(view, ws.pos[agent], goal, hard)
             if path is None:
                 break
+            # The first step starts at the agent's own vertex, so every round
+            # either advances or bans an edge.
             advanced = False
-            banned_now = False
             for i in range(len(path) - 1):
                 u, v = path[i], path[i + 1]
                 if ws.pos[agent] != u:
@@ -767,22 +753,16 @@ def _plan_agent(
                     protect = frozenset(path[i + 1 :])
                     if not _outer_push(ws, base, v, u, protect, locked, disturb):
                         banned.add(edge_key(u, v))
-                        banned_now = True
                         break
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
                         break
                 if not ws.step(base, u, v, frozenset(), 1):
                     banned.add(edge_key(u, v))
-                    banned_now = True
                     break
                 advanced = True
-            if ws.pos[agent] == goal:
-                return True
             if advanced:
                 banned.clear()
-            elif not banned_now:
-                break
         if ws.pos[agent] == goal:
             return True
     log.debug("agent %d given up at vertex %d, goal %d", agent, ws.pos[agent], goal)

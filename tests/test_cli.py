@@ -1,7 +1,7 @@
 from pathlib import Path
 
 from helpers import ordering_instance, star_instance
-from mapfla import cli, fileio
+from mapfla import fileio
 from mapfla.cli import main
 from mapfla.model import Instance, Move, make_roadmap
 
@@ -248,13 +248,10 @@ def test_bench_rejects_empty_modes(capsys):
     assert captured.out == ""
 
 
-def test_bench_rejects_repeated_mode(capsys, monkeypatch):
-    def no_roadmap(*args):
-        raise AssertionError("roadmap built before the modes were checked")
-
-    monkeypatch.setattr(cli, "gen_preset", no_roadmap)
+def test_bench_rejects_repeated_mode(capsys):
+    # harness.run_bench owns the check; main turns its ValueError into exit 1.
     code = main(["bench", "--scenarios", "1", "--modes", "la,naive,la", "--n", "2"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "--modes repeats la" in captured.err
+    assert "modes ['la', 'naive', 'la'] repeat a mode" in captured.err
     assert captured.out == ""

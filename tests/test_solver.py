@@ -2,6 +2,7 @@ import logging
 import math
 import random
 import re
+import sys
 import time
 from functools import partial
 
@@ -19,7 +20,6 @@ from helpers import (
     star_instance,
     tiny_instance,
 )
-from mapfla.fileio import dumps_plan
 from mapfla.harness import gen_preset, gen_roadmap, gen_scenario, instance_from_scenario
 from mapfla.model import Edge, Instance, edge_key, make_roadmap
 from mapfla.oracle import SOLVED as ORACLE_SOLVED
@@ -228,31 +228,21 @@ def test_a_dense_solve_computes_few_edge_bands(caplog):
     )
 
 
-# Rounds the copy below ran from a state an earlier round of the same pass
-# started from, one entry per round.
-_repeated_rounds: list[int] = []
-
-
-def _plan_agent_without_fast_forward(
+def _plan_agent_every_round(
     ws: Workspace,
     base: GraphView,
     agent: int,
     locked: dict[int, int],
 ) -> bool:
-    """The outer loop's per-agent planner as it was before rounds that repeat
-    a state were fast-forwarded: every round up to ``round_cap`` is run.
-    Only the lines that fill ``_repeated_rounds`` are new."""
+    """The outer loop's per-agent planner as it was before cycles were cut:
+    a round that repeats an earlier round's state is run again, up to
+    ``4·|V| + 16`` rounds per pass."""
     goal = ws.instance.goals[agent]
     round_cap = 4 * ws.instance.roadmap.n_vertices + 16
     for disturb in (False, True):
         banned: set[Edge] = set()
         rounds = 0
-        seen = set()
         while ws.pos[agent] != goal and rounds < round_cap:
-            key = (tuple(ws.pos), frozenset(banned))
-            if key in seen:
-                _repeated_rounds.append(agent)
-            seen.add(key)
             rounds += 1
             ws.check_time()
             hard = (
@@ -313,44 +303,115 @@ def _sparse_instance(scenario, n):
     return instance_from_scenario(rm, radius, sc, n)
 
 
+# Instance, mode, status and the solved plan's length.
 _CYCLING_CASES = [
     *[
-        pytest.param(partial(_toy_instance, s), mode, FAILED, id=f"toy-{s}-{mode}")
+        pytest.param(partial(_toy_instance, s), mode, FAILED, None, id=f"toy-{s}-{mode}")
         for s in (24, 51, 88, 93, 450, 567)
         for mode in ("la", "naive")
     ],
-    # 3135 moves: one agent's first pass repeats one state for 642 rounds.
-    pytest.param(partial(_sparse_instance, 15, 40), "la", SOLVED, id="sparse-15-n40"),
-    pytest.param(partial(_sparse_instance, 16, 40), "la", FAILED, id="sparse-16-n40"),
+    # Every round run: 3135 moves, one agent's first pass repeating a 4-move
+    # round 643 times.
+    pytest.param(partial(_sparse_instance, 15, 40), "la", SOLVED, 563, id="sparse-15-n40"),
+    pytest.param(partial(_sparse_instance, 16, 40), "la", FAILED, None, id="sparse-16-n40"),
 ]
 
 
-@pytest.mark.parametrize("build, mode, status", _CYCLING_CASES)
-def test_fast_forward_gives_the_plans_of_every_round_run(monkeypatch, build, mode, status):
+def _attempt_plans(monkeypatch) -> list[list]:
+    """Record every attempt's plan as it stands when the attempt ends."""
+    plans = []
+    single_order = mapfla.solver._solve_single_order
+
+    def recording(ws, order):
+        try:
+            return single_order(ws, order)
+        finally:
+            plans.append(list(ws.plan))
+
+    monkeypatch.setattr(mapfla.solver, "_solve_single_order", recording)
+    return plans
+
+
+def _cut_blocks(instance, reference, plan) -> list[tuple[int, int]]:
+    """The ``(start, end)`` spans of ``reference`` whose removal leaves
+    ``plan``, each ending in the positions it starts from.  Raises when
+    ``plan`` is not ``reference`` with such spans removed."""
+    positions = [tuple(instance.starts)]
+    pos = list(instance.starts)
+    for m in reference:
+        pos[m.agent] = m.dst
+        positions.append(tuple(pos))
+    blocks = []
+    i = 0
+    for move in plan:
+        if reference[i] != move:
+            end = next(
+                e
+                for e in range(i + 1, len(reference))
+                if positions[e] == positions[i] and reference[e] == move
+            )
+            blocks.append((i, end))
+            i = end
+        i += 1
+    if i < len(reference):
+        assert positions[-1] == positions[i]
+        blocks.append((i, len(reference)))
+    return blocks
+
+
+@pytest.mark.parametrize("build, mode, status, moves", _CYCLING_CASES)
+def test_fast_forward_gives_the_plans_of_every_round_run(
+    monkeypatch, build, mode, status, moves
+):
+    """Named for the fast-forward that the cycle cut replaced.  Each
+    attempt's plan is the plan of running every round with net-zero blocks
+    cut out, and the status is the same."""
     inst = build()
-    fast = solve(inst, cfg(mode=mode))
-    assert fast.stats.rounds_skipped > 0  # a cycle was skipped, not run
-    monkeypatch.setattr(mapfla.solver, "_plan_agent", _plan_agent_without_fast_forward)
-    _repeated_rounds.clear()
-    slow = solve(inst, cfg(mode=mode))
-    assert slow.stats.rounds_skipped == 0
-    assert fast.status == slow.status == status
-    assert dumps_plan(fast.plan or []) == dumps_plan(slow.plan or [])
-    # Every cycle here has period 1, so every repeated round is skipped: a
-    # skip one cycle short would be made up by running that cycle.
-    assert fast.stats.rounds_skipped == len(_repeated_rounds)
+    plans = _attempt_plans(monkeypatch)
+    cut = solve(inst, cfg(mode=mode))
+    cut_plans = list(plans)
+    monkeypatch.setattr(mapfla.solver, "_plan_agent", _plan_agent_every_round)
+    plans.clear()
+    every = solve(inst, cfg(mode=mode))
+    assert cut.status == every.status == status
+    assert len(cut_plans) == len(plans)
+    for plan, reference in zip(cut_plans, plans):
+        assert _cut_blocks(inst, reference, plan)  # a cycle was cut
+    if status == SOLVED:
+        assert cut.plan == cut_plans[-1] and every.plan == plans[-1]
+        assert len(cut.plan) == moves
+        assert validate_plan(inst, cut.plan).ok
     if mode != NAIVE:  # naive makes no move_la call
-        assert fast.stats.move_la_calls < slow.stats.move_la_calls
+        assert cut.stats.move_la_calls < every.stats.move_la_calls
 
 
-def test_fast_forward_is_logged_and_counted_across_attempts(caplog):
+def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
+    # Each attempt's cuts as (agent, its vertex, moves dropped); a cut is the
+    # only rollback that ``_plan_agent`` itself makes.
+    attempts: list[list[tuple[int, int, int]]] = []
+    single_order = mapfla.solver._solve_single_order
+    rollback = Workspace.rollback
+
+    def attempt(ws, order):
+        attempts.append([])
+        return single_order(ws, order)
+
+    def recording_rollback(ws, mark):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_plan_agent":
+            agent = caller.f_locals["agent"]
+            attempts[-1].append((agent, ws.pos[agent], len(ws.plan) - mark))
+        rollback(ws, mark)
+
+    monkeypatch.setattr(mapfla.solver, "_solve_single_order", attempt)
+    monkeypatch.setattr(Workspace, "rollback", recording_rollback)
     caplog.set_level(logging.DEBUG, logger="mapfla.solver")
     result = solve(_toy_instance(51), cfg(order="random-restarts:3:1"))
     assert result.status == FAILED
-    assert result.stats.attempts == 3
-    pattern = re.compile(r"agent \d+ at vertex \d+: period-(\d+) cycle, (\d+) rounds skipped")
-    skips = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
-    skips = [(int(m[1]), int(m[2])) for m in skips if m is not None]
-    assert len(skips) >= 3  # at least one per attempt
-    assert sum(n for _, n in skips) == result.stats.rounds_skipped
-    assert all(n % period == 0 for period, n in skips)
+    assert result.stats.attempts == len(attempts) == 3
+    assert all(attempts)  # one cut or more in each attempt
+    pattern = re.compile(r"agent (\d+) at vertex (\d+): cycle cut, (\d+) moves dropped")
+    logged = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
+    cuts = [tuple(map(int, m.groups())) for m in logged if m is not None]
+    assert cuts == [cut for found in attempts for cut in found]
+    assert all(dropped > 0 for _, _, dropped in cuts)
