@@ -93,6 +93,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.scenarios < 0:
+        raise _UsageError(f"--scenarios must be >= 0, got {args.scenarios}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     roadmap, radius = gen_preset(args.preset, args.seed)
@@ -190,7 +192,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--modes", default="la,naive")
     p.add_argument("--n", default="2..40", help="agent counts, e.g. 2..40 or 8")
     p.add_argument("--time-limit", type=float, default=30.0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, capped at the CPU count and the task count")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 

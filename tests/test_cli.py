@@ -32,6 +32,16 @@ def test_gen_twice_is_byte_identical(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_gen_rejects_negative_scenarios(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["gen", "--scenarios", "-3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--scenarios must be >= 0, got -3" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_solve_validate_render_pipeline(tmp_path, capsys):
     inst = ordering_instance()
     map_path, scen_path = write_fixture(tmp_path, inst, "order")

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from mapfla import harness
 from mapfla.geometry import dist
 from mapfla.harness import (
     PRESETS,
@@ -52,6 +55,36 @@ def test_gen_roadmap_connected():
 def test_gen_roadmap_infeasible_extent_raises():
     with pytest.raises(RoadmapGenError):
         gen_roadmap(100, 4.0, 1.0, (3, 3), seed=0)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((20, 4.0, 1.0, (math.nan, 8.0), 0), "extent"),
+        ((20, 4.0, 1.0, (8.0, math.inf), 0), "extent"),
+        ((20, 4.0, 1.0, (-8.0, 8.0), 0), "extent"),
+        ((20, 4.0, 1.0, (8.0, -0.5), 0), "extent"),
+        ((20, 4.0, math.nan, (8.0, 8.0), 0), "min_separation"),
+        ((20, 4.0, math.inf, (8.0, 8.0), 0), "min_separation"),
+        ((20, 4.0, -1.0, (8.0, 8.0), 0), "min_separation"),
+        ((20, math.nan, 1.0, (8.0, 8.0), 0), "target_degree"),
+        ((20, math.inf, 1.0, (8.0, 8.0), 0), "target_degree"),
+        ((20, -3.0, 1.0, (8.0, 8.0), 0), "target_degree"),
+        ((0, 4.0, 1.0, (8.0, 8.0), 0), "n_vertices"),
+    ],
+)
+def test_gen_roadmap_rejects_meaningless_parameters(args, name):
+    with pytest.raises(ValueError, match=name):
+        gen_roadmap(*args)
+
+
+def test_gen_roadmap_accepts_zero_separation_and_zero_extent():
+    assert gen_roadmap(20, 4.0, 0.0, (8.0, 8.0), 0).n_vertices == 20
+    assert gen_roadmap(1, 4.0, 1.0, (0.0, 0.0), 0).n_vertices == 1
+    line = gen_roadmap(10, 2.0, 0.5, (8.0, 0.0), 0)
+    assert line.n_vertices > 1 and all(y == 0.0 for _, y in line.points)
+    with pytest.raises(RoadmapGenError, match="too tight"):
+        gen_roadmap(2, 4.0, 1.0, (0.0, 0.0), 0)
 
 
 def test_sparse_preset_matches_published_shape():
@@ -157,6 +190,40 @@ def test_bench_report_csv_shape():
 def test_run_bench_rejects_a_repeated_mode():
     with pytest.raises(ValueError, match="repeat a mode"):
         run_bench({}, {}, ["la", "la"], [2], time_limit=1.0)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [(100_000, 4, 4), (3, 4, 3), (100_000, 64, 24), (100_000, None, None), (2, 1, None)],
+)
+def test_run_bench_caps_workers_at_cpus_and_tasks(monkeypatch, jobs, cpus, workers):
+    # 24 tasks: 2 modes x 3 agent counts x 4 scenarios.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    report = _small_bench(jobs=jobs)
+    assert _RecordingPool.created == ([] if workers is None else [workers])
+    assert [(r.solved, r.failed) for r in report.rows] == [
+        (r.solved, r.failed) for r in _small_bench().rows
+    ]
 
 
 def test_empty_bench_is_empty_report():

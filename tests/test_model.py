@@ -265,8 +265,8 @@ def test_sweep_margin_absorbs_rounding_past_the_threshold(axis):
 
 
 def test_geometry_work_grows_with_the_roadmap_not_its_square(monkeypatch):
-    # 45 x 45 lattice, spacing 1, right/up/diagonal edges; built directly
-    # because the roadmap generator is itself quadratic.
+    # 45 x 45 lattice, spacing 1, right/up/diagonal edges, built directly so
+    # that its size and the counts below do not depend on a sampler.
     side = 45
     points = [(float(i), float(j)) for j in range(side) for i in range(side)]
     edges = []
