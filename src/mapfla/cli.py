@@ -60,6 +60,11 @@ def _parse_n_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
+def _check_pairs(pairs: int, n_vertices: int) -> None:
+    if not 1 <= pairs <= n_vertices:
+        raise _UsageError(f"--pairs must be in 1..{n_vertices}, got {pairs}")
+
+
 def _load_instance(map_path: str, scen_path: str, agents: int | None) -> Instance:
     roadmap, radius = fileio.load_roadmap(map_path)
     name, pairs = fileio.load_scenario(scen_path)
@@ -95,9 +100,10 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     if args.scenarios < 0:
         raise _UsageError(f"--scenarios must be >= 0, got {args.scenarios}")
+    roadmap, radius = gen_preset(args.preset, args.seed)
+    _check_pairs(args.pairs, roadmap.n_vertices)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    roadmap, radius = gen_preset(args.preset, args.seed)
     stem = f"{args.preset}-{args.seed}"
     map_path = out_dir / f"{stem}.map"
     fileio.save_roadmap(map_path, roadmap, radius)
@@ -120,6 +126,7 @@ def cmd_bench(args) -> int:
         raise _UsageError("--modes names no mode")
     n_values = _parse_n_range(args.n)
     roadmap, radius = gen_preset(args.preset, args.seed)
+    _check_pairs(args.pairs, roadmap.n_vertices)
     scenarios = [
         gen_scenario(roadmap, args.pairs, seed=args.seed * 10_000 + i, name=args.preset)
         for i in range(args.scenarios)

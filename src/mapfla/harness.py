@@ -16,7 +16,7 @@ import math
 import os
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -369,15 +369,13 @@ def run_bench(
                     tasks.append((roadmap, radius, scenario, n, mode, time_limit))
                     task_keys.append((name, mode, n, si))
 
-    outcomes: dict[tuple[str, str, int, int], tuple[str, float]] = {}
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, outcome in zip(task_keys, pool.map(_run_one, tasks, chunksize=1)):
-                outcomes[key] = outcome
+            results = list(pool.map(_run_one, tasks, chunksize=1))
     else:
-        for key, task in zip(task_keys, tasks):
-            outcomes[key] = _run_one(task)
+        results = [_run_one(task) for task in tasks]
+    outcomes = dict(zip(task_keys, results))
 
     for key, (status, _) in outcomes.items():
         if status == "invalid":
@@ -395,19 +393,17 @@ def run_bench(
                     outcomes[(name, mode, n, si)]
                     for si in range(len(scenarios[name]))
                 ]
-                solved = sum(1 for s, _ in cell if s == SOLVED)
-                failed = sum(1 for s, _ in cell if s == FAILED)
-                timed_out = sum(1 for s, _ in cell if s == TIMEOUT)
+                counts = Counter(s for s, _ in cell)
                 total = len(cell)
                 rows.append(
                     BenchRow(
                         roadmap=name,
                         mode=mode,
                         n=n,
-                        solved=solved,
-                        failed=failed,
-                        timeout=timed_out,
-                        success_rate=solved / total,
+                        solved=counts[SOLVED],
+                        failed=counts[FAILED],
+                        timeout=counts[TIMEOUT],
+                        success_rate=counts[SOLVED] / total,
                         mean_ms=sum(ms for _, ms in cell) / total,
                     )
                 )

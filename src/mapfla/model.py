@@ -126,7 +126,6 @@ class InterferenceCache:
     :func:`interference_table` fills each key on its first lookup.
     """
 
-    radius: float
     edge_vertices: dict[Edge, frozenset[int]]
     vertex_edges: dict[int, frozenset[Edge]]
 
@@ -208,7 +207,6 @@ def interference_table(roadmap: Roadmap, radius: float) -> InterferenceCache:
         return inverse[v]
 
     return InterferenceCache(
-        radius=radius,
         edge_vertices=edge_vertices,
         vertex_edges=_FilledOnUse(edges_of, range(roadmap.n_vertices)),
     )

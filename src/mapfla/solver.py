@@ -75,7 +75,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterator, Sequence
 
 from .model import (
     Edge,
@@ -363,41 +363,32 @@ class Workspace:
         """
         entry = self.mark()
         mover = self.at[v_from]
+        edge = (v_from, v_to)
         interferers = self.cache.edge_vertices[edge_key(v_from, v_to)]
         i_free = {v for v in interferers if v not in self.at}
         rev_acc: list[Move] = []
         not_cleared: list[int] = []
 
         for v_p in sorted(interferers - i_free):
-            if v_p not in self.at:
-                i_free.add(v_p)
-                continue
             seg_start = self.mark()
-            if self.push_to_empty(
-                view, v_p, blocked | {v_to}, (v_from, v_to), frozenset(i_free), depth
-            ):
-                rev_acc.extend(
-                    m for m in self.plan[seg_start:] if m.agent != mover
-                )
+            if self.push_to_empty(view, v_p, blocked | {v_to}, edge, i_free, depth):
+                rev_acc.extend(m for m in self.plan[seg_start:] if m.agent != mover)
                 i_free.add(v_p)
             else:
                 not_cleared.append(v_p)
 
-        for v_p in list(not_cleared):
-            if v_p not in self.at:
-                not_cleared.remove(v_p)
-                i_free.add(v_p)
-                continue
-            ret = self.push_through_v_from(
-                view, v_p, blocked, (v_from, v_to), frozenset(i_free), depth
-            )
-            if ret is not None:
+        stuck: list[int] = []
+        for v_p in not_cleared:
+            if v_p in self.at:
+                ret = self.push_through_v_from(view, v_p, blocked, edge, i_free, depth)
+                if ret is None:
+                    stuck.append(v_p)
+                    continue
                 rev_acc.extend(m for m in ret if m.agent != mover)
-                i_free.add(v_p)
-                not_cleared.remove(v_p)
+            i_free.add(v_p)
 
-        if not_cleared:
-            log.debug("edge %s: vertices %s not cleared", (v_from, v_to), not_cleared)
+        if stuck:
+            log.debug("edge %s: vertices %s not cleared", edge, stuck)
             self.rollback(entry)
             return None
         return reverse_plan(rev_acc)
@@ -408,7 +399,7 @@ class Workspace:
         v_prime: int,
         blocked: frozenset[int],
         edge: tuple[int, int],
-        i_free: frozenset[int],
+        i_free: AbstractSet[int],
         depth: int,
     ) -> bool:
         """Walk the agent on ``v_prime`` to some empty vertex that does not
@@ -417,13 +408,7 @@ class Workspace:
         the traversal target."""
         v_from, v_to = edge
         g = view.without(self.cache.vertex_edges[v_to])
-        return self._push_off(
-            g,
-            v_prime,
-            path_blocked=blocked | {v_from},
-            acceptable=lambda v: v not in i_free,
-            push=lambda g, path: self.push_along_path(g, path, blocked, depth),
-        )[1]
+        return self._push_off(g, v_prime, blocked | {v_from}, i_free, blocked, depth)[1]
 
     def push_along_path(
         self,
@@ -461,7 +446,7 @@ class Workspace:
         v_prime: int,
         blocked: frozenset[int],
         edge: tuple[int, int],
-        i_free: frozenset[int],
+        i_free: AbstractSet[int],
         depth: int,
     ) -> Plan | None:
         """Clear ``v_prime`` when its only escape runs through ``v_from``:
@@ -478,57 +463,44 @@ class Workspace:
         mover = self.at.get(v_from)
         if a_prime is None or mover is None:
             return None
-        e_blk = self.cache.vertex_edges[v_to]
         occupied_at_entry = frozenset(self.at)
+        g_clear = view.without(self.cache.vertex_edges[v_to])
+        # The mover sidesteps with the traversal edge itself masked out; the
+        # sidestep may brush the traversal target since it is undone before
+        # the traversal happens.
+        g_no_e = view.without((edge_key(v_from, v_to),))
+        push_blocked = blocked | {v_to}
 
-        def push_chain(g: GraphView, path: list[int]) -> Edge | None:
-            return self.push_along_path(g, path, blocked | {v_to}, depth)
-
-        for n_v in sorted(view.neighbors(v_from)):
+        for n_v in view.neighbors(v_from):
             if n_v in blocked or n_v == v_prime:
                 continue
             entry_n = self.mark()
-            g = view.without(e_blk)
-
+            g = g_clear
             if n_v in self.at:
                 g, ok = self._push_off(
-                    g,
-                    n_v,
-                    path_blocked=blocked | {v_from, v_to, v_prime},
-                    acceptable=lambda v: v not in i_free and v != v_to,
-                    push=push_chain,
+                    g, n_v, blocked | {v_from, v_to, v_prime},
+                    i_free | {v_to}, push_blocked, depth,
                 )
                 if not ok:
-                    self.rollback(entry_n)
                     continue
             pi_clear_n = list(self.plan[entry_n:])
 
-            # Mover sidesteps with the traversal edge itself masked out; the
-            # sidestep may brush the traversal target since it is undone
-            # before the traversal happens.
             entry_side = self.mark()
-            g_no_e = view.without((edge_key(v_from, v_to),))
             if not self.move_la(g_no_e, v_from, n_v, blocked, depth + 1):
                 self.rollback(entry_n)
                 continue
             pi_side = list(self.plan[entry_side:])
-            participants = {m.agent for m in pi_side}
             touched = {v for m in pi_side for v in (m.src, m.dst)}
-            off_limits = (
-                set(i_free)
+            avoid = (
+                occupied_at_entry
+                | i_free
                 | touched
                 | self.cache.edge_vertices[edge_key(v_from, n_v)]
             )
-            hold = blocked | {v_to} | {self.pos[a] for a in participants}
+            hold = push_blocked | {self.pos[m.agent] for m in pi_side}
 
             entry_push = self.mark()
-            g, ok = self._push_off(
-                g,
-                v_prime,
-                path_blocked=hold,
-                acceptable=lambda v: v not in occupied_at_entry and v not in off_limits,
-                push=push_chain,
-            )
+            g, ok = self._push_off(g, v_prime, hold, avoid, push_blocked, depth)
             if not ok:
                 self.rollback(entry_n)
                 continue
@@ -552,23 +524,25 @@ class Workspace:
         g: GraphView,
         src: int,
         path_blocked: frozenset[int],
-        acceptable: Callable[[int], bool],
-        push: Callable[[GraphView, list[int]], Edge | None],
+        avoid: AbstractSet[int],
+        blocked: frozenset[int],
+        depth: int,
     ) -> tuple[GraphView, bool]:
-        """Try empty target vertices nearest-first, pushing the chain from
-        ``src`` along each one's path; on a chain failure mask the failing
-        edge and re-search the path before giving the target up.
+        """Try empty target vertices outside ``avoid`` nearest-first, pushing
+        the chain from ``src`` along each one's path with ``push_along_path``
+        (``blocked``, ``depth``); on a chain failure mask the failing edge
+        and re-search the path before giving the target up.
 
-        Targets come from one lazily expanded BFS, in ``(hops, id)`` order;
-        until an edge is masked its parent map gives the paths.  ``push``
-        moves the chain along a path and returns the edge it failed on, or
-        None.  Every failed push masks an edge of its path, so at most one
-        push per edge of ``g`` fails.
+        Paths never enter ``path_blocked``.  Targets come from one lazily
+        expanded BFS, in ``(hops, id)`` order; until an edge is masked its
+        parent map gives the paths.  Every failed push is rolled back and
+        masks an edge of its path, so at most one push per edge of ``g``
+        fails.  Returns the view as last masked and whether a push succeeded.
         """
         view = g
         for layer, parent in _layers(g, src, path_blocked):
             for eps in sorted(layer):
-                if eps in self.at or not acceptable(eps):
+                if eps in self.at or eps in avoid:
                     continue
                 while True:
                     if view is g:
@@ -578,7 +552,7 @@ class Workspace:
                         if path is None:
                             break
                     attempt = self.mark()
-                    failed = push(view, path)
+                    failed = self.push_along_path(view, path, blocked, depth)
                     if failed is None:
                         return view, True
                     self.rollback(attempt)
@@ -738,7 +712,7 @@ def _plan_agent(
             hard = (
                 frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
             )
-            view = base.without(frozenset(banned)) if banned else base
+            view = base.without(banned)
             path = lex_shortest_path(view, ws.pos[agent], goal, hard)
             if path is None:
                 break
@@ -747,11 +721,9 @@ def _plan_agent(
             advanced = False
             for i in range(len(path) - 1):
                 u, v = path[i], path[i + 1]
-                if ws.pos[agent] != u:
-                    break  # a push shoved this agent aside; replan from there
                 if v in ws.at:
                     protect = frozenset(path[i + 1 :])
-                    if not _outer_push(ws, base, v, u, protect, locked, disturb):
+                    if not _outer_push(ws, base, v, u, protect, hard):
                         banned.add(edge_key(u, v))
                         break
                     advanced = True  # occupancy changed even if the mover moved back
@@ -775,8 +747,7 @@ def _outer_push(
     head: int,
     mover_vertex: int,
     protect: frozenset[int],
-    locked: dict[int, int],
-    disturb: bool,
+    hard: frozenset[int],
 ) -> bool:
     """Permanently shove the chain starting at ``head`` into empty vertices,
     clearing ``head`` for the advancing agent.
@@ -785,23 +756,16 @@ def _outer_push(
     agent's remaining path, then merely avoiding its current vertex, finally
     anywhere.  The last tier may run the chain through the advancing agent,
     shoving it backwards too; the caller notices its new position and
-    replans.  Locked agents' vertices are off-limits unless ``disturb``.
+    replans.  No chain enters ``hard``, the round's blocked vertices: the
+    locked agents' vertices in the first pass, none in the second.
     """
-
-    def push(g: GraphView, path: list[int]) -> Edge | None:
-        return ws.push_along_path(g, path, frozenset(), depth=0)
-
     tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
     tried: set[frozenset[int]] = set()
     for avoid in tiers:
-        hard = set(avoid)
-        if not disturb:
-            hard.update(ws.pos[a] for a in locked)
-        hard.discard(head)
-        key = frozenset(hard)
+        key = (avoid | hard) - {head}
         if key in tried:
             continue
         tried.add(key)
-        if ws._push_off(base, head, key, lambda v: True, push)[1]:
+        if ws._push_off(base, head, key, frozenset(), frozenset(), 0)[1]:
             return True
     return False

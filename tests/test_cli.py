@@ -1,8 +1,11 @@
 from pathlib import Path
 
+import pytest
+
 from helpers import ordering_instance, star_instance
 from mapfla import fileio
 from mapfla.cli import main
+from mapfla.harness import gen_preset
 from mapfla.model import Instance, Move, make_roadmap
 
 
@@ -40,6 +43,30 @@ def test_gen_rejects_negative_scenarios(tmp_path, capsys):
     assert "--scenarios must be >= 0, got -3" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs", [-3, 0, 500])
+def test_gen_rejects_bad_pairs_before_writing(tmp_path, capsys, pairs):
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["gen", "--preset", "sparse-like", "--seed", "0", "--scenarios", "2",
+                 "--pairs", str(pairs), "--out", str(out)])
+    captured = capsys.readouterr()
+    n_vertices = gen_preset("sparse-like", 0)[0].n_vertices
+    assert code == 1
+    assert f"--pairs must be in 1..{n_vertices}, got {pairs}" in captured.err
+    assert captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("pairs", [-3, 0])
+def test_bench_rejects_pairs_below_one(capsys, pairs):
+    code = main(["bench", "--scenarios", "1", "--n", "2", "--pairs", str(pairs)])
+    captured = capsys.readouterr()
+    assert code == 1
+    n_vertices = gen_preset("sparse-like", 0)[0].n_vertices
+    assert f"--pairs must be in 1..{n_vertices}, got {pairs}" in captured.err
+    assert captured.out == ""
 
 
 def test_solve_validate_render_pipeline(tmp_path, capsys):

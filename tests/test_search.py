@@ -148,7 +148,7 @@ def test_push_off_tries_the_same_paths_as_the_eager_search(
         return v not in rejected
 
     def scripted(log):
-        def push(g, path):
+        def push(g, path, *_):
             log.append((g.removed, tuple(path)))
             assert len(log) <= 200, "the push loop does not terminate"
             k = outcomes[len(log) - 1] if len(log) <= len(outcomes) else 0
@@ -160,7 +160,8 @@ def test_push_off_tries_the_same_paths_as_the_eager_search(
         return push
 
     got_log, want_log = [], []
-    got_view, got_ok = ws._push_off(view, src, blocked, acceptable, scripted(got_log))
+    ws.push_along_path = scripted(got_log)
+    got_view, got_ok = ws._push_off(view, src, blocked, rejected, frozenset(), 1)
     want_view, want_ok = ref_push_off(
         ws, view, src, blocked, acceptable, scripted(want_log)
     )

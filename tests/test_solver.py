@@ -260,7 +260,7 @@ def _plan_agent_every_round(
                     break  # a push shoved this agent aside; replan from there
                 if v in ws.at:
                     protect = frozenset(path[i + 1 :])
-                    if not _outer_push(ws, base, v, u, protect, locked, disturb):
+                    if not _outer_push(ws, base, v, u, protect, hard):
                         banned.add(edge_key(u, v))
                         banned_now = True
                         break
@@ -415,3 +415,42 @@ def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
     cuts = [tuple(map(int, m.groups())) for m in logged if m is not None]
     assert cuts == [cut for found in attempts for cut in found]
     assert all(dropped > 0 for _, _, dropped in cuts)
+
+
+@pytest.mark.parametrize("mode", ["la", "naive"])
+def test_outer_push_gets_the_locked_agents_vertices_as_hard(monkeypatch, mode):
+    """``_plan_agent`` computes ``hard`` once per round and ``_outer_push``
+    trusts it.  That holds because no move made during a first-pass round
+    leaves a locked agent off its goal: every call sees either an empty
+    ``hard`` in the second pass, or the vertices the locked agents stand on
+    now, each on its goal."""
+    plan_agent, outer_push = mapfla.solver._plan_agent, mapfla.solver._outer_push
+    locked_now: list[dict[int, int]] = []
+    seen = {"first pass, agents locked": 0, "second pass": 0}
+
+    def planning(ws, base, agent, locked):
+        locked_now.append(locked)
+        try:
+            return plan_agent(ws, base, agent, locked)
+        finally:
+            locked_now.pop()
+
+    def pushing(ws, base, head, mover_vertex, protect, hard):
+        disturb = sys._getframe(1).f_locals["disturb"]
+        locked = locked_now[-1]
+        if disturb:
+            assert hard == frozenset()
+            seen["second pass"] += 1
+        else:
+            assert hard == frozenset(ws.pos[a] for a in locked)
+            assert all(ws.pos[a] == goal for a, goal in locked.items())
+            seen["first pass, agents locked"] += bool(locked)
+        return outer_push(ws, base, head, mover_vertex, protect, hard)
+
+    monkeypatch.setattr(mapfla.solver, "_plan_agent", planning)
+    monkeypatch.setattr(mapfla.solver, "_outer_push", pushing)
+    roadmap, radius = gen_preset("sparse-like", 0)
+    for i in range(25):
+        scenario = gen_scenario(roadmap, 40, seed=i, name="sparse-like")
+        solve(instance_from_scenario(roadmap, radius, scenario, 40), cfg(mode=mode))
+    assert all(seen.values()), seen
