@@ -127,6 +127,8 @@ def cmd_bench(args) -> int:
     n_values = _parse_n_range(args.n)
     roadmap, radius = gen_preset(args.preset, args.seed)
     _check_pairs(args.pairs, roadmap.n_vertices)
+    if min(n_values) < 1 or max(n_values) > args.pairs:
+        raise _UsageError(f"--n {args.n} must lie in 1..{args.pairs}, the --pairs count")
     scenarios = [
         gen_scenario(roadmap, args.pairs, seed=args.seed * 10_000 + i, name=args.preset)
         for i in range(args.scenarios)

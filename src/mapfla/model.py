@@ -1,10 +1,11 @@
 """Data model: roadmaps embedded in the plane, problem instances, agent states,
 moves, and the edge/vertex interference relation.
 
-The relation is computed one key at a time on first lookup by
-:func:`interference_table`, the solver's per-solve table.  Its band test and
-the separation check of :func:`validate_roadmap` share one sort of the
-vertices by x per roadmap (:attr:`Roadmap.x_order`).  The start/goal
+The relation is computed one edge's band at a time on first lookup by
+:func:`interference_table`, the solver's per-solve table; it has no map from
+a vertex to its edges.  Its band test and the separation check of
+:func:`validate_roadmap` share one sort of the vertices by x per roadmap
+(:attr:`Roadmap.x_order`).  The start/goal
 assignment check (:func:`assignment_issues`) serves roadmap validation, the
 plan validator and the oracle.
 
@@ -122,12 +123,11 @@ class InterferenceCache:
     """Interference relation for one (roadmap, radius) pair.
 
     ``edge_vertices[e]`` holds every non-endpoint vertex whose occupation
-    blocks traversal of ``e``; ``vertex_edges`` is the exact inverse map.
-    :func:`interference_table` fills each key on its first lookup.
+    blocks traversal of ``e``, its band; :func:`interference_table` fills
+    each key on its first lookup.  Nothing maps a vertex to its edges.
     """
 
     edge_vertices: dict[Edge, frozenset[int]]
-    vertex_edges: dict[int, frozenset[Edge]]
 
 
 def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[int]]:
@@ -184,31 +184,14 @@ class _FilledOnUse(dict):
 
 
 def interference_table(roadmap: Roadmap, radius: float) -> InterferenceCache:
-    """For every edge, the vertices within ``2r`` of its segment, and each
-    vertex's edges as the exact inverse, computed on first lookup.
+    """For every edge, the vertices within ``2r`` of its segment, each
+    computed the first time the edge is looked up.
 
-    An edge's band is computed the first time the edge is looked up.  The
-    first lookup of a vertex completes the table: a vertex's edges need the
-    band of every edge that may pass near it, and one pass over the missing
-    bands costs less than testing each vertex against candidate edges.  It
-    is meant to live for one solve; ``len(edge_vertices)`` is the number of
-    bands computed so far.
+    It is meant to live for one solve; ``len(edge_vertices)`` is the number
+    of bands computed so far.
     """
-    edge_vertices = _FilledOnUse(_band_test(roadmap, radius), roadmap.edge_set)
-    inverse: dict[int, frozenset[Edge]] = {}
-
-    def edges_of(v: int) -> frozenset[Edge]:
-        if not inverse:
-            near: dict[int, list[Edge]] = {u: [] for u in range(roadmap.n_vertices)}
-            for e in roadmap.edge_set:
-                for u in edge_vertices[e]:
-                    near[u].append(e)
-            inverse.update((u, frozenset(es)) for u, es in near.items())
-        return inverse[v]
-
     return InterferenceCache(
-        edge_vertices=edge_vertices,
-        vertex_edges=_FilledOnUse(edges_of, range(roadmap.n_vertices)),
+        edge_vertices=_FilledOnUse(_band_test(roadmap, radius), roadmap.edge_set)
     )
 
 

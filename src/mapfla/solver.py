@@ -60,11 +60,11 @@ transactionally.
 
 The interference relation is read from a table that lives for one ``solve``
 call and is filled during the search: an edge's band the first time a move
-asks for it.  The first time a push must avoid the edges near a vertex, the
-table computes the bands still missing and derives every vertex's edges.  A
-small solve on a dense roadmap reads a few percent of the bands and no
-vertex's edges, so most bands are never computed.  The time limit covers
-this work as it covers validation.
+or a search asks for it.  A push that must avoid the edges near the
+traversal target masks them in its view (``GraphView.near``), which tests
+an edge's band only when the push's search reaches the edge, so a small
+solve on a dense roadmap computes a few percent of the bands.  The time
+limit covers this work as it covers validation.
 """
 
 from __future__ import annotations
@@ -150,13 +150,27 @@ def reverse_plan(plan: Plan) -> Plan:
 
 
 class GraphView:
-    """A roadmap with some edges masked out; vertices are never removed."""
+    """A roadmap with some edges masked out; vertices are never removed.
 
-    __slots__ = ("roadmap", "removed", "_masked")
+    An edge is masked when ``removed`` holds it, in either orientation, or
+    when a vertex of ``near`` lies in its band.  ``bands`` is the solve's
+    ``cache.edge_vertices``, so a band is read, and computed, only when a
+    search reaches the edge.
+    """
 
-    def __init__(self, roadmap: Roadmap, removed: frozenset[Edge] = frozenset()):
+    __slots__ = ("roadmap", "removed", "near", "bands", "_masked")
+
+    def __init__(
+        self,
+        roadmap: Roadmap,
+        removed: frozenset[Edge] = frozenset(),
+        near: frozenset[int] = frozenset(),
+        bands: dict[Edge, frozenset[int]] | None = None,
+    ):
         self.roadmap = roadmap
         self.removed = removed
+        self.near = near
+        self.bands = bands
         masked: dict[int, set[int]] = {}
         for u, v in removed:
             masked.setdefault(u, set()).add(v)
@@ -165,20 +179,31 @@ class GraphView:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         base = self.roadmap.adjacency[v]
-        gone = self._masked.get(v)
-        if gone is None:
-            return base
-        return tuple(w for w in base if w not in gone)
+        gone = self._masked.get(v, ())
+        if not self.near:
+            return tuple(w for w in base if w not in gone) if gone else base
+        # A loop, not a generator: a closure over ``v`` would slow every call.
+        near, bands, kept = self.near, self.bands, []
+        for w in base:
+            if w not in gone and near.isdisjoint(bands[(v, w) if v < w else (w, v)]):
+                kept.append(w)
+        return tuple(kept)
 
     def has_edge(self, u: int, v: int) -> bool:
-        masked = self._masked.get(u, ())
-        return edge_key(u, v) in self.roadmap.edge_set and v not in masked
+        e = edge_key(u, v)
+        if e not in self.roadmap.edge_set or v in self._masked.get(u, ()):
+            return False
+        return not self.near or self.near.isdisjoint(self.bands[e])
 
     def without(self, edges) -> "GraphView":
         extra = frozenset(edges)
         if not extra:
             return self
-        return GraphView(self.roadmap, self.removed | extra)
+        return GraphView(self.roadmap, self.removed | extra, self.near, self.bands)
+
+    def avoiding(self, v: int, bands: dict[Edge, frozenset[int]]) -> "GraphView":
+        """This view with every edge whose band holds ``v`` masked too."""
+        return GraphView(self.roadmap, self.removed, self.near | {v}, bands)
 
 
 def _layers(
@@ -235,7 +260,8 @@ class Workspace:
     interfering vertex), so whatever ends up in ``plan`` is valid from the
     instance start.  ``mark``/``rollback`` give exact transactional undo.
     ``cache`` is an :func:`interference_table`, read by indexing alone: a
-    miss computes the value, and a non-edge gives None.
+    miss computes the band, and a non-edge gives None.  A push hands
+    ``cache.edge_vertices`` to its view, which reads it edge by edge.
     """
 
     def __init__(
@@ -404,10 +430,11 @@ class Workspace:
     ) -> bool:
         """Walk the agent on ``v_prime`` to some empty vertex that does not
         interfere with ``edge``, avoiding both endpoints and every edge the
-        target endpoint interferes with.  ``blocked`` must already contain
-        the traversal target."""
+        target endpoint interferes with; the view tests each edge for that
+        when the search reaches it.  ``blocked`` must already contain the
+        traversal target."""
         v_from, v_to = edge
-        g = view.without(self.cache.vertex_edges[v_to])
+        g = view.avoiding(v_to, self.cache.edge_vertices)
         return self._push_off(g, v_prime, blocked | {v_from}, i_free, blocked, depth)[1]
 
     def push_along_path(
@@ -464,7 +491,7 @@ class Workspace:
         if a_prime is None or mover is None:
             return None
         occupied_at_entry = frozenset(self.at)
-        g_clear = view.without(self.cache.vertex_edges[v_to])
+        g_clear = view.avoiding(v_to, self.cache.edge_vertices)
         # The mover sidesteps with the traversal edge itself masked out; the
         # sidestep may brush the traversal target since it is undone before
         # the traversal happens.

@@ -16,6 +16,7 @@ from mapfla.model import (
     interference_table,
     make_roadmap,
 )
+from mapfla.solver import GraphView
 from mapfla.validator import is_valid_transition
 
 
@@ -111,15 +112,20 @@ def retry_instance() -> Instance:
 
 
 def full_table(roadmap, radius):
-    """An :func:`interference_table` with every edge and every vertex already
-    looked up, so that its maps hold the whole relation: on a table not yet
-    filled, ``.values()`` sees only the bands computed so far."""
+    """An :func:`interference_table` with every edge already looked up, so
+    that its map holds the whole relation: on a table not yet filled,
+    ``.values()`` sees only the bands computed so far."""
     table = interference_table(roadmap, radius)
     for e in sorted(roadmap.edge_set):
         table.edge_vertices[e]
-    for v in range(roadmap.n_vertices):
-        table.vertex_edges[v]
     return table
+
+
+def masked_by(roadmap, bands, v):
+    """The edges that a push around vertex ``v`` masks: every edge that
+    ``GraphView.avoiding(v, bands)`` drops, asked edge by edge."""
+    view = GraphView(roadmap).avoiding(v, bands)
+    return frozenset(e for e in roadmap.edge_set if not view.has_edge(*e))
 
 
 def brute_force_interference(roadmap, radius):

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from helpers import ordering_instance, star_instance
-from mapfla import fileio
+from mapfla import fileio, harness
 from mapfla.cli import main
 from mapfla.harness import gen_preset
 from mapfla.model import Instance, Move, make_roadmap
@@ -66,6 +66,16 @@ def test_bench_rejects_pairs_below_one(capsys, pairs):
     assert code == 1
     n_vertices = gen_preset("sparse-like", 0)[0].n_vertices
     assert f"--pairs must be in 1..{n_vertices}, got {pairs}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n", ["2..12", "11", "0..3"])
+def test_bench_rejects_agent_counts_outside_pairs_before_solving(capsys, monkeypatch, n):
+    monkeypatch.setattr(harness, "run_bench", lambda *a, **k: pytest.fail("bench ran"))
+    code = main(["bench", "--scenarios", "2", "--pairs", "10", "--n", n, "--modes", "la"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"--n {n} must lie in 1..10, the --pairs count" in captured.err
     assert captured.out == ""
 
 

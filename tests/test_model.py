@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_interference, full_table, star_instance
+from helpers import brute_force_interference, full_table, masked_by, star_instance
 import mapfla.model
 from mapfla.geometry import clearance_threshold, dist, segdist
 from mapfla.model import (
@@ -19,6 +19,7 @@ from mapfla.model import (
     make_roadmap,
     validate_roadmap,
 )
+from mapfla.solver import GraphView
 
 
 # -- interference cache -------------------------------------------------------
@@ -37,7 +38,7 @@ def test_perpendicular_vertex_inside_band():
     rm = make_roadmap([(0, 0), (2, 0), (1, 1.5 * r)], [(0, 1)])
     cache = full_table(rm, r)
     assert cache.edge_vertices[(0, 1)] == frozenset({2})
-    assert cache.vertex_edges[2] == frozenset({(0, 1)})
+    assert masked_by(rm, cache.edge_vertices, 2) == frozenset({(0, 1)})
 
 
 def test_star_fan_interference_pattern():
@@ -45,10 +46,11 @@ def test_star_fan_interference_pattern():
     cache = full_table(inst.roadmap, inst.radius)
     assert cache.edge_vertices == brute_force_interference(inst.roadmap, inst.radius)
     # middle leaves block both flanking hub edges, end leaves one each
-    assert cache.vertex_edges[2] == frozenset({(0, 1), (0, 3)})
-    assert cache.vertex_edges[3] == frozenset({(0, 2), (0, 4)})
-    assert cache.vertex_edges[1] == frozenset({(0, 2)})
-    assert cache.vertex_edges[4] == frozenset({(0, 3)})
+    bands = cache.edge_vertices
+    assert masked_by(inst.roadmap, bands, 2) == frozenset({(0, 1), (0, 3)})
+    assert masked_by(inst.roadmap, bands, 3) == frozenset({(0, 2), (0, 4)})
+    assert masked_by(inst.roadmap, bands, 1) == frozenset({(0, 2)})
+    assert masked_by(inst.roadmap, bands, 4) == frozenset({(0, 3)})
 
 
 def test_endpoints_never_interfere_with_own_edge():
@@ -58,7 +60,8 @@ def test_endpoints_never_interfere_with_own_edge():
         assert u not in hits and v not in hits
 
 
-def test_cache_maps_are_exact_inverses():
+def test_mask_and_bands_are_exact_inverses():
+    # A push around w masks edge e exactly when w is in e's band.
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(3, 9)
@@ -68,10 +71,11 @@ def test_cache_maps_are_exact_inverses():
         }
         rm = make_roadmap(pts, [e for e in edges if e[0] != e[1]])
         cache = full_table(rm, rng.uniform(0.05, 0.8))
+        masks = {w: masked_by(rm, cache.edge_vertices, w) for w in range(n)}
         for e, hits in cache.edge_vertices.items():
             for w in hits:
-                assert e in cache.vertex_edges[w]
-        for w, es in cache.vertex_edges.items():
+                assert e in masks[w]
+        for w, es in masks.items():
             for e in es:
                 assert w in cache.edge_vertices[e]
 
@@ -79,10 +83,11 @@ def test_cache_maps_are_exact_inverses():
 def test_cache_independent_of_edge_insertion_order():
     pts = [(0, 0), (1, 0), (0.5, 0.4), (2, 1)]
     edges = [(0, 1), (1, 3), (2, 3)]
-    a = full_table(make_roadmap(pts, edges), 0.3)
-    b = full_table(make_roadmap(pts, list(reversed(edges))), 0.3)
+    rm_a, rm_b = make_roadmap(pts, edges), make_roadmap(pts, list(reversed(edges)))
+    a, b = full_table(rm_a, 0.3), full_table(rm_b, 0.3)
     assert a.edge_vertices == b.edge_vertices
-    assert a.vertex_edges == b.vertex_edges
+    for v in range(len(pts)):
+        assert masked_by(rm_a, a.edge_vertices, v) == masked_by(rm_b, b.edge_vertices, v)
 
 
 def test_small_radius_empties_all_interference():
@@ -136,33 +141,38 @@ def exhaustive_pair_issues(points, r):
 
 
 def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
-    """Every key of a fresh table, looked up in a drawn order, gives the
-    value of the fully looked-up table ``full``; a key outside either map
-    gives None and stores nothing."""
+    """Every band of a fresh table, and every answer of a view masking the
+    edges near a vertex, asked in a drawn order, equals what the fully
+    looked-up table ``full`` gives; a non-edge gives None, or is no edge of
+    the view, and stores nothing."""
     table = interference_table(rm, r)
-    keys = [(table.edge_vertices, full.edge_vertices, e) for e in rm.edge_set]
-    keys += [(table.vertex_edges, full.vertex_edges, v) for v in range(rm.n_vertices)]
-    random.Random(lookup_seed).shuffle(keys)
     n = rm.n_vertices
-    outside = [(table.vertex_edges, v) for v in (-1, n)]
-    outside += [(table.edge_vertices, e) for e in ((0, 0), (n, n + 1), (-1, 0))]
+    views = [GraphView(rm).avoiding(v, table.edge_vertices) for v in range(n)]
+    keys = [(None, e) for e in rm.edge_set]
+    keys += [(v, e) for v in range(n) for e in rm.edge_set]
+    random.Random(lookup_seed).shuffle(keys)
+    outside = [(0, 0), (n, n + 1), (-1, 0)]
     outside += [
-        (table.edge_vertices, (u, v))
-        for u in range(min(n, 4))
-        for v in range(u + 1, n)
-        if (u, v) not in rm.edge_set
+        (u, v) for u in range(min(n, 4)) for v in range(u + 1, n) if (u, v) not in rm.edge_set
     ][:8]
-    for i, (lazy, filled, key) in enumerate(keys):
+    for i, (v, e) in enumerate(keys):
         if i % 4 == 0:  # between fills too
-            lazy_map, bad = outside[i // 4 % len(outside)]
-            before = dict(lazy_map)
-            assert lazy_map[bad] is None
-            assert dict(lazy_map) == before
-        assert lazy[key] == filled[key]
-    for lazy_map, bad in outside:
-        assert lazy_map[bad] is None
+            bad = outside[i // 4 % len(outside)]
+            before = dict(table.edge_vertices)
+            assert table.edge_vertices[bad] is None
+            if n:
+                assert not views[i % n].has_edge(*bad)
+            assert dict(table.edge_vertices) == before
+        if v is None:
+            assert table.edge_vertices[e] == full.edge_vertices[e]
+        else:
+            assert views[v].has_edge(*e) == (v not in full.edge_vertices[e])
+    for bad in outside:
+        assert table.edge_vertices[bad] is None
+    for v in (-1, n):  # a vertex off the roadmap is in no band
+        off = GraphView(rm).avoiding(v, table.edge_vertices)
+        assert all(off.has_edge(*e) for e in rm.edge_set)
     assert table.edge_vertices == full.edge_vertices
-    assert table.vertex_edges == full.vertex_edges
 
 
 def assert_sweep_matches_exhaustive(points, edges, r, lookup_seed=0):
@@ -170,7 +180,7 @@ def assert_sweep_matches_exhaustive(points, edges, r, lookup_seed=0):
     full = full_table(rm, r)
     bands = brute_force_interference(rm, r)
     assert full.edge_vertices == bands
-    assert full.vertex_edges == {
+    assert {v: masked_by(rm, full.edge_vertices, v) for v in range(rm.n_vertices)} == {
         v: frozenset(e for e, band in bands.items() if v in band)
         for v in range(rm.n_vertices)
     }

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import random
@@ -9,6 +10,7 @@ from functools import partial
 import pytest
 
 import mapfla.solver
+from mapfla import fileio
 
 from helpers import (
     case3_instance,
@@ -226,6 +228,31 @@ def test_a_dense_solve_computes_few_edge_bands(caplog):
     assert caplog.records[-1].getMessage().endswith(
         f", {result.stats.bands_computed} of {roadmap.n_edges} edge bands computed"
     )
+
+
+def test_a_dense_solve_that_pushes_computes_only_the_bands_it_reaches(monkeypatch):
+    # A push must avoid every edge near the traversal target.  When the mask
+    # came from a vertex-to-edges map, the first push completed the table:
+    # this solve computed all 1,200 bands for one push.  The plan's SHA-256
+    # is the one it had then.
+    roadmap, radius = gen_preset("dense-like", 1)
+    scenario = gen_scenario(roadmap, 6, seed=1, name="dense-like")
+    inst = instance_from_scenario(roadmap, radius, scenario)
+    pushes = []
+    push_to_empty = Workspace.push_to_empty
+
+    def counted(self, *args):
+        pushes.append(args[1])
+        return push_to_empty(self, *args)
+
+    monkeypatch.setattr(Workspace, "push_to_empty", counted)
+    result = solve(inst, cfg())
+    assert result.status == SOLVED
+    assert pushes
+    assert hashlib.sha256(fileio.dumps_plan(result.plan).encode()).hexdigest() == (
+        "e67e0ee9a23f6e1ebc428755e9fbc84f1f76344c99b61dd16c4334cd1ccabee1"
+    )
+    assert result.stats.bands_computed < roadmap.n_edges
 
 
 def _plan_agent_every_round(

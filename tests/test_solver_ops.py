@@ -1,11 +1,13 @@
+import math
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 import fuzz_contracts
 from helpers import (
+    brute_force_interference,
     case3_instance,
     chain_clear_instance,
     corridor_path_instance,
@@ -15,11 +17,13 @@ from helpers import (
     tiny_instance,
     two_branch_instance,
 )
-from mapfla.model import Move, State, make_roadmap
+from mapfla.harness import gen_roadmap
+from mapfla.model import Move, State, edge_key, interference_table, make_roadmap
 from mapfla.solver import (
     NAIVE,
     GraphView,
     Workspace,
+    _layers,
     _NaiveHalt,
     lex_shortest_path,
     reverse_plan,
@@ -320,6 +324,68 @@ def test_masked_edge_is_gone_whichever_way_it_was_stored():
         assert not view.has_edge(2, 1)
         assert view.has_edge(1, 0) and view.has_edge(2, 3)
         assert not view.has_edge(0, 2)
+
+
+def _drawn_masks(seed):
+    """A drawn roadmap and radius, one to three masked vertices, and up to
+    three explicit masked edges, each stored in a drawn orientation."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 30)
+    side = math.sqrt(n * math.pi * 0.25 / rng.uniform(0.15, 0.35))
+    rm = gen_roadmap(n, rng.uniform(2.0, 6.0), 1.0, (side, side), seed=rng.randrange(2**31))
+    radius = rng.uniform(0.05, 1.0)
+    near = rng.sample(range(rm.n_vertices), rng.randint(1, min(3, rm.n_vertices)))
+    edges = sorted(rm.edge_set)
+    removed = [
+        e if rng.random() < 0.5 else e[::-1]
+        for e in rng.sample(edges, rng.randint(0, min(3, len(edges))))
+    ]
+    return rng, rm, radius, near, removed
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
+    rng, rm, radius, near, removed = _drawn_masks(seed)
+    bands = brute_force_interference(rm, radius)
+    eager = GraphView(rm).without(removed)
+    for v in near:
+        eager = eager.without(e for e, band in bands.items() if v in band)
+    # The lazy view stacks the same masks in a drawn order, as nested
+    # pushes do, with the explicit edges masked somewhere in between.
+    table = interference_table(rm, radius)
+    steps = [("near", v) for v in near] + [("edges", removed)]
+    rng.shuffle(steps)
+    lazy = GraphView(rm)
+    for kind, arg in steps:
+        lazy = lazy.avoiding(arg, table.edge_vertices) if kind == "near" else lazy.without(arg)
+    assert lazy.near == frozenset(near)
+    n = rm.n_vertices
+    for u in range(n):
+        assert lazy.neighbors(u) == eager.neighbors(u)
+        for w in range(n):
+            assert lazy.has_edge(u, w) == eager.has_edge(u, w)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_a_search_over_a_masked_view_computes_only_the_bands_it_reaches(seed):
+    rng, rm, radius, near, removed = _drawn_masks(seed)
+    table = interference_table(rm, radius)
+    view = GraphView(rm).without(removed)
+    for v in near:
+        view = view.avoiding(v, table.edge_vertices)
+    src = rng.randrange(rm.n_vertices)
+    stop = rng.randint(1, 4)
+    expanded = [src]
+    for k, (layer, _) in enumerate(_layers(view, src, frozenset()), 1):
+        if k == stop:
+            break
+        expanded += layer
+    # A layer is expanded only when the next one is asked for, and an edge
+    # masked explicitly is dropped before its band is read.
+    reached = {edge_key(u, w) for u in expanded for w in rm.adjacency[u]}
+    assert set(table.edge_vertices) == reached - {edge_key(*e) for e in removed}
 
 
 # -- helper search ---------------------------------------------------------------
