@@ -5,9 +5,10 @@ The relation is computed one edge's band at a time on first lookup by
 :func:`interference_table`, the solver's per-solve table; it has no map from
 a vertex to its edges.  Its band test and the separation check of
 :func:`validate_roadmap` share one sort of the vertices by x per roadmap
-(:attr:`Roadmap.x_order`).  The start/goal
-assignment check (:func:`assignment_issues`) serves roadmap validation, the
-plan validator and the oracle.
+(:attr:`Roadmap.x_order`).  The edge endpoint
+check (:attr:`Roadmap.endpoint_issues`) and the start/goal assignment check
+(:func:`assignment_issues`) serve roadmap validation, the plan validator and
+the oracle.
 
 Conventions used throughout the package:
 
@@ -77,6 +78,17 @@ class Roadmap:
             key=lambda v: pts[v][0],
         ))
         return order, tuple(pts[v][0] for v in order)
+
+    @cached_property
+    def endpoint_issues(self) -> tuple[str, ...]:
+        """One line per edge with an endpoint outside ``0..|V|-1``, in edge
+        order; empty iff every edge joins two vertices of the roadmap."""
+        n = self.n_vertices
+        return tuple(
+            f"edge ({u}, {v}) references a missing vertex"
+            for u, v in self.edge_list
+            if not (0 <= u < n and 0 <= v < n)
+        )
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -208,7 +220,8 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
 
     Reported violations:
       * non-finite coordinates or non-positive radius
-      * edge endpoints out of range, self-loops, duplicate edges
+      * edge endpoints out of range (:attr:`Roadmap.endpoint_issues`,
+        listed first), self-loops, duplicate edges
       * vertex pairs not strictly farther apart than ``2r``, in ``(u, v)``
         order, testing only the finite pairs an x-sorted sweep finds within
         ``2r + 2 EPS`` of each other along both axes
@@ -227,10 +240,10 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         if not (math.isfinite(x) and math.isfinite(y)):
             issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
 
+    issues += rm.endpoint_issues
     seen: set[Edge] = set()
     for u, v in rm.edge_list:
         if not (0 <= u < n and 0 <= v < n):
-            issues.append(f"edge ({u}, {v}) references a missing vertex")
             continue
         if u == v:
             issues.append(f"edge ({u}, {v}) is a self-loop")

@@ -3,7 +3,9 @@
 Ground truth for solvability and for minimal plan lengths: the search expands
 the full product state space under the same transition semantics the
 validator enforces, so it is complete (within its node budget) where the
-solver is not.  Intended for ``|V| <= ~12`` and ``K <= ~4``.
+solver is not.  It expands up to ``|V|^K`` states: on 2 cores with Python
+3.11, a 12-vertex 3-agent toy takes TOYMS on average, 5 agents on 16
+vertices WIDEMS and 2 agents on 200 vertices BIGMS.
 """
 
 from __future__ import annotations
@@ -33,51 +35,72 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     ``unsolvable`` only after the whole reachable component was enumerated,
     and ``budget_exceeded`` when the expansion budget ran out first.
     Successors are generated agents-by-id then neighbours-by-id, so plans
-    are canonical.  A malformed start/goal assignment raises ``ValueError``.
+    are canonical.  A malformed start/goal assignment or an edge endpoint
+    outside ``0..|V|-1`` raises ``ValueError``.
+
+    A joint state is the integer ``sum(pos[i] * |V|**i)``.  Moving from ``u``
+    to ``w`` is legal iff the state's occupied-vertex bits miss the edge's
+    mask: bit ``w`` and its band's bits, built when a state first has an
+    agent on ``u``.
     """
-    issues = assignment_issues(instance)
+    issues = [*instance.roadmap.endpoint_issues, *assignment_issues(instance)]
     if issues:
         raise ValueError(f"invalid instance: {issues[0]}")
-    rm = instance.roadmap
-    start = tuple(instance.starts)
-    goal = tuple(instance.goals)
+    n, k = instance.roadmap.n_vertices, len(instance.starts)
+    steps = [n**agent for agent in range(k)]
+    start = sum(v * step for v, step in zip(instance.starts, steps))
+    goal = sum(v * step for v, step in zip(instance.goals, steps))
     if start == goal:
         return OracleResult(SOLVED, [], expanded=0)
 
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None] = {start: None}
-    queue: deque[tuple[int, ...]] = deque([start])
+    adjacency = instance.roadmap.adjacency
     bands = EdgeBands(instance)
+    moves: list[list[tuple[int, int]] | None] = [None] * n
+    parents: dict[int, int | None] = {start: None}
+    queue: deque[int] = deque([start])
     expanded = 0
     while queue:
         if expanded >= node_budget:
             return OracleResult(BUDGET_EXCEEDED, None, expanded)
         current = queue.popleft()
         expanded += 1
-        occupied = set(current)
-        for agent, u in enumerate(current):
-            for w in rm.neighbors(u):
-                if w in occupied or not occupied.isdisjoint(bands(u, w)):
+        positions = _decode(current, n, k)
+        occupied = 0
+        for u in positions:
+            occupied |= 1 << u
+        for u, step in zip(positions, steps):
+            out = moves[u]
+            if out is None:
+                out = moves[u] = [
+                    (w, sum(1 << v for v in bands(u, w)) | 1 << w) for w in adjacency[u]
+                ]
+            for w, mask in out:
+                if occupied & mask:
                     continue
-                nxt = current[:agent] + (w,) + current[agent + 1 :]
+                nxt = current + (w - u) * step
                 if nxt in parents:
                     continue
-                parents[nxt] = (current, Move(agent, u, w))
+                parents[nxt] = current
                 if nxt == goal:
-                    return OracleResult(SOLVED, _backtrack(parents, nxt), expanded)
+                    return OracleResult(SOLVED, _backtrack(parents, nxt, n, k), expanded)
                 queue.append(nxt)
     return OracleResult(UNSOLVABLE, None, expanded)
 
 
-def _backtrack(
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None],
-    node: tuple[int, ...],
-) -> Plan:
+def _decode(code: int, n: int, k: int) -> list[int]:
+    positions = []
+    for _ in range(k):
+        code, v = divmod(code, n)
+        positions.append(v)
+    return positions
+
+
+def _backtrack(parents: dict[int, int | None], node: int, n: int, k: int) -> Plan:
     moves: list[Move] = []
-    while True:
-        entry = parents[node]
-        if entry is None:
-            break
-        node, move = entry
-        moves.append(move)
-    moves.reverse()
-    return moves
+    after = _decode(node, n, k)
+    while (parent := parents[node]) is not None:
+        before = _decode(parent, n, k)
+        agent = next(i for i in range(k) if before[i] != after[i])
+        moves.append(Move(agent, before[agent], after[agent]))
+        node, after = parent, before
+    return moves[::-1]

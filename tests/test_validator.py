@@ -18,6 +18,7 @@ from mapfla.model import (
     apply_move,
     assignment_issues,
     make_roadmap,
+    validate_roadmap,
 )
 from mapfla.oracle import SOLVED, UNSOLVABLE, joint_bfs_solve
 from mapfla import validator
@@ -163,6 +164,24 @@ def test_two_agents_on_one_vertex_is_an_invalid_instance():
 def test_start_goal_count_mismatch_is_an_invalid_instance():
     _assert_invalid_instance(validate_plan(line_instance((0, 1), (0,), n=3), []))
     _assert_invalid_instance(validate_plan(line_instance((0,), (0, 1), n=3), []))
+
+
+@pytest.mark.parametrize("edge", [(0, -1), (-1, 0), (0, 4), (7, 7)])
+def test_an_edge_to_a_missing_vertex_is_an_invalid_instance(edge):
+    """``Roadmap.adjacency`` would file vertex -1 as vertex 3, a phantom
+    neighbour that the plan replay and the oracle's search could step on."""
+    rm = make_roadmap(line_instance((0,), (0,)).roadmap.points, [(0, 1), (1, 2), edge])
+    line = f"edge ({edge[0]}, {edge[1]}) references a missing vertex"
+    for goal in (0, 3):
+        inst = Instance(roadmap=rm, radius=0.3, starts=(0,), goals=(goal,))
+        assert validate_roadmap(inst).issues == (line,)
+        report = validate_plan(inst, [Move(0, 0, -1), Move(0, -1, 0)])
+        assert report == PlanReport(
+            ok=False, failed_index=0, reason=f"invalid instance: {line}"
+        )
+        with pytest.raises(ValueError) as raised:
+            joint_bfs_solve(inst)
+        assert str(raised.value) == f"invalid instance: {line}"
 
 
 @st.composite
