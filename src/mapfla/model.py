@@ -5,8 +5,8 @@ The relation is computed one edge's band at a time on first lookup by
 :func:`interference_table`, the solver's per-solve table; it has no map from
 a vertex to its edges.  Its band test and the separation check of
 :func:`validate_roadmap` share one sort of the vertices by x per roadmap
-(:attr:`Roadmap.x_order`).  The edge endpoint
-check (:attr:`Roadmap.endpoint_issues`) and the start/goal assignment check
+(:attr:`Roadmap.x_order`).  The edge endpoint check
+(:attr:`Roadmap.endpoint_issues`) and the start/goal assignment check
 (:func:`assignment_issues`) serve roadmap validation, the plan validator and
 the oracle.
 
@@ -244,7 +244,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
     seen: set[Edge] = set()
     for u, v in rm.edge_list:
         if not (0 <= u < n and 0 <= v < n):
-            continue
+            continue  # listed by endpoint_issues
         if u == v:
             issues.append(f"edge ({u}, {v}) is a self-loop")
             continue

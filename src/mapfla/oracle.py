@@ -3,9 +3,9 @@
 Ground truth for solvability and for minimal plan lengths: the search expands
 the full product state space under the same transition semantics the
 validator enforces, so it is complete (within its node budget) where the
-solver is not.  It expands up to ``|V|^K`` states: on 2 cores with Python
-3.11, a 12-vertex 3-agent toy takes TOYMS on average, 5 agents on 16
-vertices WIDEMS and 2 agents on 200 vertices BIGMS.
+solver is not.  It expands up to ``|V|^K`` states; on a shared 2-core host
+(Python 3.11) a 12-vertex 3-agent toy takes 2 ms on average, 5 agents on 16
+vertices 1.4 s (at most 3.5 s over 60 toys) and 2 agents on 200 vertices 0.1 s.
 """
 
 from __future__ import annotations
