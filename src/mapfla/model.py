@@ -220,8 +220,8 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
 
     Reported violations:
       * non-finite coordinates or non-positive radius
-      * edge endpoints out of range (:attr:`Roadmap.endpoint_issues`,
-        listed first), self-loops, duplicate edges
+      * edge endpoints out of range (:attr:`Roadmap.endpoint_issues`),
+        self-loops, duplicate edges
       * vertex pairs not strictly farther apart than ``2r``, in ``(u, v)``
         order, testing only the finite pairs an x-sorted sweep finds within
         ``2r + 2 EPS`` of each other along both axes
@@ -240,11 +240,12 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         if not (math.isfinite(x) and math.isfinite(y)):
             issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
 
-    issues += rm.endpoint_issues
+    stray = iter(rm.endpoint_issues)  # one line per such edge, in edge order
     seen: set[Edge] = set()
     for u, v in rm.edge_list:
         if not (0 <= u < n and 0 <= v < n):
-            continue  # listed by endpoint_issues
+            issues.append(next(stray))
+            continue
         if u == v:
             issues.append(f"edge ({u}, {v}) is a self-loop")
             continue

@@ -343,6 +343,18 @@ def test_self_loop_and_missing_vertex_reported():
     assert "missing vertex" in issues
 
 
+def test_edge_lines_keep_edge_order():
+    rm = make_roadmap([(0, 0), (3, 0), (6, 0)], [(1, 1), (0, 5), (0, 1), (1, 0), (9, 9)])
+    report = validate_roadmap(Instance(roadmap=rm, radius=0.5, starts=(0,), goals=(1,)))
+    assert report.issues == (
+        "edge (1, 1) is a self-loop",
+        "edge (0, 5) references a missing vertex",
+        "duplicate edge (0, 1)",
+        "edge (9, 9) references a missing vertex",
+    )
+    assert rm.endpoint_issues == report.issues[1::2]
+
+
 def test_non_injective_starts_reported():
     rm = make_roadmap([(0, 0), (3, 0), (6, 0)], [(0, 1), (1, 2)])
     inst = Instance(roadmap=rm, radius=0.5, starts=(0, 0), goals=(1, 2))
