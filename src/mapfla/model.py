@@ -240,7 +240,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         if not (math.isfinite(x) and math.isfinite(y)):
             issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
 
-    stray = iter(rm.endpoint_issues)  # one line per such edge, in edge order
+    stray = iter(rm.endpoint_issues)  # one line per out-of-range edge, in order
     seen: set[Edge] = set()
     for u, v in rm.edge_list:
         if not (0 <= u < n and 0 <= v < n):
