@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fileio, harness, render
 from .harness import PRESETS, gen_preset, gen_scenario
-from .model import Instance
+from .model import Instance, Plan
 from .solver import (
     SOLVED,
     TIMEOUT,
@@ -85,11 +85,15 @@ def cmd_solve(args) -> int:
     return EXIT_TIMEOUT if result.status == TIMEOUT else EXIT_FAILED
 
 
-def cmd_validate(args) -> int:
+def _load_checked_plan(args) -> tuple[Instance, Plan]:
+    """The instance of ``--map``/``--scen``/``--agents``, checked, and ``--plan``."""
     instance = _load_instance(args.map, args.scen, args.agents)
     check_instance(instance)
-    plan = fileio.load_plan(args.plan)
-    report = validate_plan(instance, plan)
+    return instance, fileio.load_plan(args.plan)
+
+
+def cmd_validate(args) -> int:
+    report = validate_plan(*_load_checked_plan(args))
     if report.ok:
         print("valid")
         return EXIT_OK
@@ -151,19 +155,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
-    instance = _load_instance(args.map, args.scen, args.agents)
-    check_instance(instance)
-    plan = fileio.load_plan(args.plan)
-    frames = render.render_plan(instance, plan, args.out)
+    frames = render.render_plan(*_load_checked_plan(args), args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK
-
-
-def _add_solver_flags(p) -> None:
-    p.add_argument("--mode", choices=["la", "naive"], default="la")
-    p.add_argument("--order", default="index",
-                   help="index | perm:<ids> | random-restarts:<k>:<seed>")
-    p.add_argument("--time-limit", type=float, default=30.0)
 
 
 def _build_parser() -> _Parser:
@@ -175,7 +169,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--scen", required=True)
     p.add_argument("--agents", type=int, default=None)
     p.add_argument("--out", default=None)
-    _add_solver_flags(p)
+    p.add_argument("--mode", choices=["la", "naive"], default="la")
+    p.add_argument("--order", default="index",
+                   help="index | perm:<ids> | random-restarts:<k>:<seed>")
+    p.add_argument("--time-limit", type=float, default=30.0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("validate", help="check a plan against a scenario")

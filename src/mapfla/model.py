@@ -2,13 +2,12 @@
 moves, and the edge/vertex interference relation.
 
 The relation is computed one edge's band at a time on first lookup by
-:func:`interference_table`, the solver's per-solve table; it has no map from
+:class:`InterferenceCache`, the solver's per-solve table; it has no map from
 a vertex to its edges.  Its band test and the separation check of
 :func:`validate_roadmap` share one sort of the vertices by x per roadmap
-(:attr:`Roadmap.x_order`).  The edge endpoint check
-(:attr:`Roadmap.endpoint_issues`) and the start/goal assignment check
-(:func:`assignment_issues`) serve roadmap validation, the plan validator and
-the oracle.
+(:attr:`Roadmap.x_order`).  The edge list check (:attr:`Roadmap.edge_issues`)
+and the start/goal assignment check (:func:`assignment_issues`) serve roadmap
+validation, the plan validator and the oracle.
 
 Conventions used throughout the package:
 
@@ -25,7 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable
+from typing import Iterable
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
@@ -80,15 +79,24 @@ class Roadmap:
         return order, tuple(pts[v][0] for v in order)
 
     @cached_property
-    def endpoint_issues(self) -> tuple[str, ...]:
-        """One line per edge with an endpoint outside ``0..|V|-1``, in edge
-        order; empty iff every edge joins two vertices of the roadmap."""
+    def edge_issues(self) -> tuple[str, ...]:
+        """One line per edge to a missing vertex, self-loop and duplicate
+        edge, in edge order; empty iff every edge joins two distinct
+        vertices of the roadmap and no edge repeats."""
         n = self.n_vertices
-        return tuple(
-            f"edge ({u}, {v}) references a missing vertex"
-            for u, v in self.edge_list
-            if not (0 <= u < n and 0 <= v < n)
-        )
+        issues: list[str] = []
+        seen: set[Edge] = set()
+        for u, v in self.edge_list:
+            if not (0 <= u < n and 0 <= v < n):
+                issues.append(f"edge ({u}, {v}) references a missing vertex")
+            elif u == v:
+                issues.append(f"edge ({u}, {v}) is a self-loop")
+            else:
+                k = edge_key(u, v)
+                if k in seen:
+                    issues.append(f"duplicate edge ({k[0]}, {k[1]})")
+                seen.add(k)
+        return tuple(issues)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
@@ -130,21 +138,14 @@ class Move:
 Plan = list[Move]
 
 
-@dataclass(frozen=True)
-class InterferenceCache:
-    """Interference relation for one (roadmap, radius) pair.
+class InterferenceCache(dict):
+    """Interference relation of one (roadmap, radius) pair, meant to live
+    for one solve: ``table[e]`` is edge ``e``'s band, every non-endpoint
+    vertex whose occupation blocks traversal of ``e``.
 
-    ``edge_vertices[e]`` holds every non-endpoint vertex whose occupation
-    blocks traversal of ``e``, its band; :func:`interference_table` fills
-    each key on its first lookup.  Nothing maps a vertex to its edges.
-    """
-
-    edge_vertices: dict[Edge, frozenset[int]]
-
-
-def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[int]]:
-    """The band test of one (roadmap, radius) pair: a function from an edge
-    to the vertices in its band.
+    A band is computed on its first lookup and stored, so ``len(table)`` is
+    the number computed so far; a key that is not an edge gives None and is
+    not stored.  Nothing maps a vertex to its edges.
 
     A vertex is in edge ``e``'s band when it is finite, not an endpoint of
     ``e``, lies in ``e``'s bounding box grown by ``2r + EPS`` plus ``EPS``
@@ -153,12 +154,22 @@ def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[in
     the blocked band is closed with tolerance, matching the strict ``> 2r``
     clearance the validator demands of transitions.
     """
-    threshold = clearance_threshold(radius)
-    margin = threshold + EPS
-    pts = roadmap.points
-    order, xs = roadmap.x_order
 
-    def band(e: Edge) -> frozenset[int]:
+    __slots__ = ("roadmap", "threshold")
+
+    def __init__(self, roadmap: Roadmap, radius: float):
+        super().__init__()
+        self.roadmap = roadmap
+        self.threshold = clearance_threshold(radius)
+
+    def __missing__(self, e: Edge) -> frozenset[int] | None:
+        rm = self.roadmap
+        if e not in rm.edge_set:
+            return None
+        threshold = self.threshold
+        margin = threshold + EPS
+        pts = rm.points
+        order, xs = rm.x_order
         u, w = e
         a, b = pts[u], pts[w]
         (ax, ay), (bx, by) = a, b
@@ -167,44 +178,12 @@ def _band_test(roadmap: Roadmap, radius: float) -> Callable[[Edge], frozenset[in
         if by < ay:
             ay, by = by, ay
         ylo, yhi = ay - margin, by + margin
-        return frozenset([
+        band = self[e] = frozenset([
             v for v in order[bisect_left(xs, ax - margin):bisect_right(xs, bx + margin)]
             if ylo <= pts[v][1] <= yhi and v != u and v != w
             and segdist(pts[v], a, b) <= threshold
         ])
-
-    return band
-
-
-class _FilledOnUse(dict):
-    """A map of :func:`interference_table`: a hit is a plain dict lookup; a
-    miss on one of ``keys`` computes the value with ``fill`` and stores it.
-    Any other key gives None and is not stored."""
-
-    __slots__ = ("_fill", "_keys")
-
-    def __init__(self, fill: Callable, keys: Container):
-        super().__init__()
-        self._fill = fill
-        self._keys = keys
-
-    def __missing__(self, key):
-        if key not in self._keys:
-            return None
-        value = self[key] = self._fill(key)
-        return value
-
-
-def interference_table(roadmap: Roadmap, radius: float) -> InterferenceCache:
-    """For every edge, the vertices within ``2r`` of its segment, each
-    computed the first time the edge is looked up.
-
-    It is meant to live for one solve; ``len(edge_vertices)`` is the number
-    of bands computed so far.
-    """
-    return InterferenceCache(
-        edge_vertices=_FilledOnUse(_band_test(roadmap, radius), roadmap.edge_set)
-    )
+        return band
 
 
 @dataclass(frozen=True)
@@ -220,8 +199,8 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
 
     Reported violations:
       * non-finite coordinates or non-positive radius
-      * edge endpoints out of range (:attr:`Roadmap.endpoint_issues`),
-        self-loops, duplicate edges
+      * edges to missing vertices, self-loops and duplicate edges
+        (:attr:`Roadmap.edge_issues`)
       * vertex pairs not strictly farther apart than ``2r``, in ``(u, v)``
         order, testing only the finite pairs an x-sorted sweep finds within
         ``2r + 2 EPS`` of each other along both axes
@@ -230,7 +209,6 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
     """
     issues: list[str] = []
     rm = instance.roadmap
-    n = rm.n_vertices
     r = instance.radius
 
     if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
@@ -240,19 +218,7 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
         if not (math.isfinite(x) and math.isfinite(y)):
             issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
 
-    stray = iter(rm.endpoint_issues)  # one line per out-of-range edge, in order
-    seen: set[Edge] = set()
-    for u, v in rm.edge_list:
-        if not (0 <= u < n and 0 <= v < n):
-            issues.append(next(stray))
-            continue
-        if u == v:
-            issues.append(f"edge ({u}, {v}) is a self-loop")
-            continue
-        k = edge_key(u, v)
-        if k in seen:
-            issues.append(f"duplicate edge ({k[0]}, {k[1]})")
-        seen.add(k)
+    issues += rm.edge_issues
 
     if math.isfinite(r) and r > 0:
         limit = clearance_threshold(r)

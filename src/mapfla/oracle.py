@@ -35,15 +35,16 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     ``unsolvable`` only after the whole reachable component was enumerated,
     and ``budget_exceeded`` when the expansion budget ran out first.
     Successors are generated agents-by-id then neighbours-by-id, so plans
-    are canonical.  A malformed start/goal assignment or an edge endpoint
-    outside ``0..|V|-1`` raises ``ValueError``.
+    are canonical.  A malformed start/goal assignment, or an edge that is a
+    self-loop, a duplicate or has an endpoint outside ``0..|V|-1``, raises
+    ``ValueError``.
 
     A joint state is the integer ``sum(pos[i] * |V|**i)``.  Moving from ``u``
     to ``w`` is legal iff the state's occupied-vertex bits miss the edge's
     mask: bit ``w`` and its band's bits, built when a state first has an
     agent on ``u``.
     """
-    issues = [*instance.roadmap.endpoint_issues, *assignment_issues(instance)]
+    issues = [*instance.roadmap.edge_issues, *assignment_issues(instance)]
     if issues:
         raise ValueError(f"invalid instance: {issues[0]}")
     n, k = instance.roadmap.n_vertices, len(instance.starts)

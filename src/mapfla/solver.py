@@ -85,7 +85,6 @@ from .model import (
     Plan,
     Roadmap,
     edge_key,
-    interference_table,
     validate_roadmap,
 )
 
@@ -154,7 +153,7 @@ class GraphView:
 
     An edge is masked when ``removed`` holds it, in either orientation, or
     when a vertex of ``near`` lies in its band.  ``bands`` is the solve's
-    ``cache.edge_vertices``, so a band is read, and computed, only when a
+    :class:`InterferenceCache`, so a band is read, and computed, only when a
     search reaches the edge.
     """
 
@@ -259,21 +258,21 @@ class Workspace:
     transition legality (edge exists, mover present, target free, no occupied
     interfering vertex), so whatever ends up in ``plan`` is valid from the
     instance start.  ``mark``/``rollback`` give exact transactional undo.
-    ``cache`` is an :func:`interference_table`, read by indexing alone: a
-    miss computes the band, and a non-edge gives None.  A push hands
-    ``cache.edge_vertices`` to its view, which reads it edge by edge.
+    ``bands`` is an :class:`InterferenceCache`, read by indexing alone: a
+    miss computes the band, and a non-edge gives None.  A push hands it to
+    its view, which reads it edge by edge.
     """
 
     def __init__(
         self,
         instance: Instance,
-        cache: InterferenceCache | None = None,
+        bands: InterferenceCache | None = None,
         *,
         mode: str = LA,
         deadline: float | None = None,
     ):
         self.instance = instance
-        self.cache = cache if cache is not None else interference_table(
+        self.bands = bands if bands is not None else InterferenceCache(
             instance.roadmap, instance.radius
         )
         self.mode = mode
@@ -304,7 +303,7 @@ class Workspace:
     def try_move(self, agent: int, u: int, v: int) -> bool:
         if self.pos[agent] != u or v in self.at:
             return False
-        interferers = self.cache.edge_vertices[edge_key(u, v)]
+        interferers = self.bands[edge_key(u, v)]
         if interferers is None:  # not an edge of the roadmap
             return False
         at = self.at
@@ -390,7 +389,7 @@ class Workspace:
         entry = self.mark()
         mover = self.at[v_from]
         edge = (v_from, v_to)
-        interferers = self.cache.edge_vertices[edge_key(v_from, v_to)]
+        interferers = self.bands[edge_key(v_from, v_to)]
         i_free = {v for v in interferers if v not in self.at}
         rev_acc: list[Move] = []
         not_cleared: list[int] = []
@@ -434,8 +433,8 @@ class Workspace:
         when the search reaches it.  ``blocked`` must already contain the
         traversal target."""
         v_from, v_to = edge
-        g = view.avoiding(v_to, self.cache.edge_vertices)
-        return self._push_off(g, v_prime, blocked | {v_from}, i_free, blocked, depth)[1]
+        g = view.avoiding(v_to, self.bands)
+        return self._push_off(g, v_prime, blocked | {v_from}, i_free, blocked, depth)
 
     def push_along_path(
         self,
@@ -491,7 +490,7 @@ class Workspace:
         if a_prime is None or mover is None:
             return None
         occupied_at_entry = frozenset(self.at)
-        g_clear = view.avoiding(v_to, self.cache.edge_vertices)
+        g_clear = view.avoiding(v_to, self.bands)
         # The mover sidesteps with the traversal edge itself masked out; the
         # sidestep may brush the traversal target since it is undone before
         # the traversal happens.
@@ -502,14 +501,11 @@ class Workspace:
             if n_v in blocked or n_v == v_prime:
                 continue
             entry_n = self.mark()
-            g = g_clear
-            if n_v in self.at:
-                g, ok = self._push_off(
-                    g, n_v, blocked | {v_from, v_to, v_prime},
-                    i_free | {v_to}, push_blocked, depth,
-                )
-                if not ok:
-                    continue
+            if n_v in self.at and not self._push_off(
+                g_clear, n_v, blocked | {v_from, v_to, v_prime},
+                i_free | {v_to}, push_blocked, depth,
+            ):
+                continue
             pi_clear_n = list(self.plan[entry_n:])
 
             entry_side = self.mark()
@@ -522,13 +518,12 @@ class Workspace:
                 occupied_at_entry
                 | i_free
                 | touched
-                | self.cache.edge_vertices[edge_key(v_from, n_v)]
+                | self.bands[edge_key(v_from, n_v)]
             )
             hold = push_blocked | {self.pos[m.agent] for m in pi_side}
 
             entry_push = self.mark()
-            g, ok = self._push_off(g, v_prime, hold, avoid, push_blocked, depth)
-            if not ok:
+            if not self._push_off(g_clear, v_prime, hold, avoid, push_blocked, depth):
                 self.rollback(entry_n)
                 continue
             pi_escape = list(self.plan[entry_push:])
@@ -554,7 +549,7 @@ class Workspace:
         avoid: AbstractSet[int],
         blocked: frozenset[int],
         depth: int,
-    ) -> tuple[GraphView, bool]:
+    ) -> bool:
         """Try empty target vertices outside ``avoid`` nearest-first, pushing
         the chain from ``src`` along each one's path with ``push_along_path``
         (``blocked``, ``depth``); on a chain failure mask the failing edge
@@ -564,7 +559,7 @@ class Workspace:
         expanded BFS, in ``(hops, id)`` order; until an edge is masked its
         parent map gives the paths.  Every failed push is rolled back and
         masks an edge of its path, so at most one push per edge of ``g``
-        fails.  Returns the view as last masked and whether a push succeeded.
+        fails.  Returns whether a push succeeded.
         """
         view = g
         for layer, parent in _layers(g, src, path_blocked):
@@ -581,10 +576,10 @@ class Workspace:
                     attempt = self.mark()
                     failed = self.push_along_path(view, path, blocked, depth)
                     if failed is None:
-                        return view, True
+                        return True
                     self.rollback(attempt)
                     view = view.without((failed,))
-        return view, False
+        return False
 
 
 # -- outer loop -------------------------------------------------------------
@@ -614,13 +609,13 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     t0 = time.monotonic()
     deadline = t0 + config.time_limit
     check_instance(instance)
-    cache = interference_table(instance.roadmap, instance.radius)
+    bands = InterferenceCache(instance.roadmap, instance.radius)
     total = SolveStats()
 
     def finish(status: str, plan: Plan | None) -> SolveResult:
         total.elapsed = time.monotonic() - t0
         total.moves = len(plan) if plan is not None else 0
-        total.bands_computed = len(cache.edge_vertices)
+        total.bands_computed = len(bands)
         log.info(
             "solve: %s after %d attempt(s), %.1f ms, %d move-la calls, "
             "%d of %d edge bands computed",
@@ -634,7 +629,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         return SolveResult(status, plan, total)
 
     for order in _orderings(config, instance.n_agents):
-        ws = Workspace(instance, cache, mode=config.mode, deadline=deadline)
+        ws = Workspace(instance, bands, mode=config.mode, deadline=deadline)
         total.attempts += 1
         try:
             ok: bool | None = _solve_single_order(ws, order)
@@ -658,7 +653,8 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
         order = tuple(int(t) for t in order[len("perm:") :].split(",") if t != "")
     if isinstance(order, (tuple, list)):
         perm = tuple(order)
-        _require_permutation(perm, k)
+        if sorted(perm) != list(identity):
+            raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
         yield perm
         return
     if order == "index":
@@ -674,11 +670,9 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
         rng = random.Random(seed)
         seen = {identity}
         yield identity
-        produced = 1
-        while produced < count:
+        for _ in range(count - 1):
             perm = list(identity)
             rng.shuffle(perm)
-            produced += 1
             t = tuple(perm)
             if t in seen:
                 continue
@@ -686,11 +680,6 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
             yield t
         return
     raise ValueError(f"unknown order spec {order!r}")
-
-
-def _require_permutation(perm: tuple[int, ...], k: int) -> None:
-    if sorted(perm) != list(range(k)):
-        raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
 
 
 def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
@@ -793,6 +782,6 @@ def _outer_push(
         if key in tried:
             continue
         tried.add(key)
-        if ws._push_off(base, head, key, frozenset(), frozenset(), 0)[1]:
+        if ws._push_off(base, head, key, frozenset(), frozenset(), 0):
             return True
     return False

@@ -3,8 +3,8 @@
 This module is the arbiter for every other component: it shares nothing with
 the solver and never consults the solver's interference table, so a solver
 bug cannot hide behind a table bug.  All it takes from the data model besides
-its types and ``edge_key`` are the edge endpoint and start/goal assignment
-checks, :attr:`~mapfla.model.Roadmap.endpoint_issues` and
+its types and ``edge_key`` are the edge list and start/goal assignment
+checks, :attr:`~mapfla.model.Roadmap.edge_issues` and
 :func:`~mapfla.model.assignment_issues`.  A transition is valid iff the mover
 actually sits on the edge's source vertex, the edge exists, the target is
 free, and every other agent keeps a strictly-greater-than-``2r`` distance to
@@ -101,9 +101,9 @@ class PlanReport:
 
     ``failed_index`` is the offending move's position, ``len(plan)`` when
     the replay succeeded but the terminal state misses the goal, or ``0``
-    with a reason starting ``invalid instance:`` when an edge endpoint is
-    outside ``0..|V|-1`` or the start/goal assignment is malformed, and
-    nothing was replayed.
+    with a reason starting ``invalid instance:`` when an edge is a
+    self-loop, a duplicate or has an endpoint outside ``0..|V|-1``, or the
+    start/goal assignment is malformed, and nothing was replayed.
     """
 
     ok: bool
@@ -114,7 +114,7 @@ class PlanReport:
 def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
     """Replay ``plan`` from the instance start; ok iff every transition is
     valid and the terminal state places every agent on its goal."""
-    issues = [*instance.roadmap.endpoint_issues, *assignment_issues(instance)]
+    issues = [*instance.roadmap.edge_issues, *assignment_issues(instance)]
     if issues:
         return PlanReport(
             ok=False, failed_index=0, reason=f"invalid instance: {issues[0]}"

@@ -3,17 +3,19 @@ interference patterns, plus seeded random instance generators."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
+from mapfla import fileio
 from mapfla.harness import gen_roadmap
 from mapfla.geometry import segdist
 from mapfla.model import (
     Instance,
+    InterferenceCache,
     State,
     apply_move,
     edge_key,
-    interference_table,
     make_roadmap,
 )
 from mapfla.solver import GraphView
@@ -112,12 +114,12 @@ def retry_instance() -> Instance:
 
 
 def full_table(roadmap, radius):
-    """An :func:`interference_table` with every edge already looked up, so
-    that its map holds the whole relation: on a table not yet filled,
+    """An :class:`InterferenceCache` with every edge already looked up, so
+    that it holds the whole relation: on a table not yet filled,
     ``.values()`` sees only the bands computed so far."""
-    table = interference_table(roadmap, radius)
+    table = InterferenceCache(roadmap, radius)
     for e in sorted(roadmap.edge_set):
-        table.edge_vertices[e]
+        table[e]
     return table
 
 
@@ -162,7 +164,7 @@ def interference_free_instance(seed: int, n_agents: int = 4) -> Instance:
     starts = tuple(rng.sample(range(rm.n_vertices), k))
     goals = tuple(rng.sample(range(rm.n_vertices), k))
     inst = Instance(roadmap=rm, radius=radius, starts=starts, goals=goals)
-    assert not any(full_table(rm, radius).edge_vertices.values())
+    assert not any(full_table(rm, radius).values())
     return inst
 
 
@@ -200,6 +202,28 @@ def tiny_instance(seed: int) -> Instance:
     starts = tuple(rng.sample(range(rm.n_vertices), k))
     goals = tuple(rng.sample(range(rm.n_vertices), k))
     return Instance(roadmap=rm, radius=radius, starts=starts, goals=goals)
+
+
+def toy_instance(toy_seed: int, n_vertices: int = 12, n_agents: int = 3) -> Instance:
+    """The benchmark's toy recipe, 12 vertices and 3 agents by default,
+    drawn from ``toy_seed``."""
+    rng = random.Random(toy_seed)
+    side = math.sqrt(n_vertices * math.pi * 0.25 / 0.3)
+    rm = gen_roadmap(n_vertices, 3.4, 1.0, (side, side), seed=rng.randrange(2**31))
+    k = min(n_agents, rm.n_vertices - 2)
+    return Instance(
+        roadmap=rm,
+        radius=rng.uniform(0.3, 0.49),
+        starts=tuple(rng.sample(range(rm.n_vertices), k)),
+        goals=tuple(rng.sample(range(rm.n_vertices), k)),
+    )
+
+
+def plan_digest(plan) -> str:
+    """SHA-256 of ``fileio.dumps_plan``, or ``-`` when there is no plan."""
+    if plan is None:
+        return "-"
+    return hashlib.sha256(fileio.dumps_plan(plan).encode()).hexdigest()
 
 
 def replay(instance: Instance, plan) -> State:

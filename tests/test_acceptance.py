@@ -208,7 +208,7 @@ def test_criterion_7_geometry():
                 for w in range(len(pts))
                 if w not in (u, v) and d[w] <= threshold
             }
-            assert cache.edge_vertices[edge_key(u, v)] == expected
+            assert cache[edge_key(u, v)] == expected
     report(
         "7 geometry",
         f"segdist vs 1e5-sample minimization within {worst:.1e} on 1e4 triples; "

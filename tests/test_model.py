@@ -10,12 +10,12 @@ import mapfla.model
 from mapfla.geometry import clearance_threshold, dist, segdist
 from mapfla.model import (
     Instance,
+    InterferenceCache,
     Move,
     State,
     apply_move,
     assignment_issues,
     edge_key,
-    interference_table,
     make_roadmap,
     validate_roadmap,
 )
@@ -29,7 +29,7 @@ def test_far_apart_edges_have_empty_interference():
     # two parallel edges, everything more than 10r apart
     rm = make_roadmap([(0, 0), (1, 0), (0, 8), (1, 8)], [(0, 1), (2, 3)])
     cache = full_table(rm, 0.05)
-    assert all(not s for s in cache.edge_vertices.values())
+    assert all(not s for s in cache.values())
 
 
 def test_perpendicular_vertex_inside_band():
@@ -37,16 +37,15 @@ def test_perpendicular_vertex_inside_band():
     r = 0.4
     rm = make_roadmap([(0, 0), (2, 0), (1, 1.5 * r)], [(0, 1)])
     cache = full_table(rm, r)
-    assert cache.edge_vertices[(0, 1)] == frozenset({2})
-    assert masked_by(rm, cache.edge_vertices, 2) == frozenset({(0, 1)})
+    assert cache[(0, 1)] == frozenset({2})
+    assert masked_by(rm, cache, 2) == frozenset({(0, 1)})
 
 
 def test_star_fan_interference_pattern():
     inst = star_instance()
-    cache = full_table(inst.roadmap, inst.radius)
-    assert cache.edge_vertices == brute_force_interference(inst.roadmap, inst.radius)
+    bands = full_table(inst.roadmap, inst.radius)
+    assert bands == brute_force_interference(inst.roadmap, inst.radius)
     # middle leaves block both flanking hub edges, end leaves one each
-    bands = cache.edge_vertices
     assert masked_by(inst.roadmap, bands, 2) == frozenset({(0, 1), (0, 3)})
     assert masked_by(inst.roadmap, bands, 3) == frozenset({(0, 2), (0, 4)})
     assert masked_by(inst.roadmap, bands, 1) == frozenset({(0, 2)})
@@ -56,7 +55,7 @@ def test_star_fan_interference_pattern():
 def test_endpoints_never_interfere_with_own_edge():
     rm = make_roadmap([(0, 0), (0.5, 0), (1.0, 0)], [(0, 1), (1, 2), (0, 2)])
     cache = full_table(rm, 0.2)
-    for (u, v), hits in cache.edge_vertices.items():
+    for (u, v), hits in cache.items():
         assert u not in hits and v not in hits
 
 
@@ -71,13 +70,13 @@ def test_mask_and_bands_are_exact_inverses():
         }
         rm = make_roadmap(pts, [e for e in edges if e[0] != e[1]])
         cache = full_table(rm, rng.uniform(0.05, 0.8))
-        masks = {w: masked_by(rm, cache.edge_vertices, w) for w in range(n)}
-        for e, hits in cache.edge_vertices.items():
+        masks = {w: masked_by(rm, cache, w) for w in range(n)}
+        for e, hits in cache.items():
             for w in hits:
                 assert e in masks[w]
         for w, es in masks.items():
             for e in es:
-                assert w in cache.edge_vertices[e]
+                assert w in cache[e]
 
 
 def test_cache_independent_of_edge_insertion_order():
@@ -85,9 +84,9 @@ def test_cache_independent_of_edge_insertion_order():
     edges = [(0, 1), (1, 3), (2, 3)]
     rm_a, rm_b = make_roadmap(pts, edges), make_roadmap(pts, list(reversed(edges)))
     a, b = full_table(rm_a, 0.3), full_table(rm_b, 0.3)
-    assert a.edge_vertices == b.edge_vertices
+    assert a == b
     for v in range(len(pts)):
-        assert masked_by(rm_a, a.edge_vertices, v) == masked_by(rm_b, b.edge_vertices, v)
+        assert masked_by(rm_a, a, v) == masked_by(rm_b, b, v)
 
 
 def test_small_radius_empties_all_interference():
@@ -110,8 +109,8 @@ def test_small_radius_empties_all_interference():
         if clear <= 0:
             continue
         cache = full_table(rm, clear / 2.5)
-        assert all(not s for s in cache.edge_vertices.values())
-        assert cache.edge_vertices == brute_force_interference(rm, clear / 2.5)
+        assert all(not s for s in cache.values())
+        assert cache == brute_force_interference(rm, clear / 2.5)
 
 
 # -- broad phase: the x-sorted sweep equals the exhaustive scans --------------
@@ -145,9 +144,9 @@ def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
     edges near a vertex, asked in a drawn order, equals what the fully
     looked-up table ``full`` gives; a non-edge gives None, or is no edge of
     the view, and stores nothing."""
-    table = interference_table(rm, r)
+    table = InterferenceCache(rm, r)
     n = rm.n_vertices
-    views = [GraphView(rm).avoiding(v, table.edge_vertices) for v in range(n)]
+    views = [GraphView(rm).avoiding(v, table) for v in range(n)]
     keys = [(None, e) for e in rm.edge_set]
     keys += [(v, e) for v in range(n) for e in rm.edge_set]
     random.Random(lookup_seed).shuffle(keys)
@@ -158,28 +157,28 @@ def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
     for i, (v, e) in enumerate(keys):
         if i % 4 == 0:  # between fills too
             bad = outside[i // 4 % len(outside)]
-            before = dict(table.edge_vertices)
-            assert table.edge_vertices[bad] is None
+            before = dict(table)
+            assert table[bad] is None
             assert not views[i % n].has_edge(*bad)
-            assert dict(table.edge_vertices) == before
+            assert dict(table) == before
         if v is None:
-            assert table.edge_vertices[e] == full.edge_vertices[e]
+            assert table[e] == full[e]
         else:
-            assert views[v].has_edge(*e) == (v not in full.edge_vertices[e])
+            assert views[v].has_edge(*e) == (v not in full[e])
     for bad in outside:
-        assert table.edge_vertices[bad] is None
+        assert table[bad] is None
     for v in (-1, n):  # a vertex off the roadmap is in no band
-        off = GraphView(rm).avoiding(v, table.edge_vertices)
+        off = GraphView(rm).avoiding(v, table)
         assert all(off.has_edge(*e) for e in rm.edge_set)
-    assert table.edge_vertices == full.edge_vertices
+    assert table == full
 
 
 def assert_sweep_matches_exhaustive(points, edges, r, lookup_seed=0):
     rm = make_roadmap(points, edges)
     full = full_table(rm, r)
     bands = brute_force_interference(rm, r)
-    assert full.edge_vertices == bands
-    assert {v: masked_by(rm, full.edge_vertices, v) for v in range(rm.n_vertices)} == {
+    assert full == bands
+    assert {v: masked_by(rm, full, v) for v in range(rm.n_vertices)} == {
         v: frozenset(e for e, band in bands.items() if v in band)
         for v in range(rm.n_vertices)
     }
@@ -243,7 +242,7 @@ def test_vertex_at_the_threshold_past_an_edge_end(where, beyond):
     points = [a, b, (dx * off, dy * off)]
     rm = make_roadmap(points, [(0, 1)])
     expected = frozenset({2}) if beyond == 0.0 else frozenset()
-    assert full_table(rm, 0.5).edge_vertices[(0, 1)] == expected
+    assert full_table(rm, 0.5)[(0, 1)] == expected
     assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
 
 
@@ -267,7 +266,7 @@ def test_sweep_margin_absorbs_rounding_past_the_threshold(axis):
     swap = (lambda p: p) if axis == "x" else (lambda p: (p[1], p[0]))
     points = [swap((-4.0, 0.0)), swap((end, 0.0)), swap((far, 0.0))]
     rm = make_roadmap(points, [(0, 1)])
-    assert full_table(rm, 0.5).edge_vertices[(0, 1)] == frozenset({2})
+    assert full_table(rm, 0.5)[(0, 1)] == frozenset({2})
     assert_sweep_matches_exhaustive(points, [(0, 1)], 0.5)
     pair = Instance(make_roadmap(points[1:], []), 0.5, (), ())
     assert len(validate_roadmap(pair).issues) == 1
@@ -302,7 +301,7 @@ def test_geometry_work_grows_with_the_roadmap_not_its_square(monkeypatch):
     monkeypatch.setattr(mapfla.model, "dist", counted("dist", dist))
     cache = full_table(rm, 0.48)
     assert validate_roadmap(Instance(rm, 0.48, (0,), (0,))).ok
-    assert any(cache.edge_vertices.values())
+    assert any(cache.values())
     # The exhaustive scans make about V segdist calls per edge and V / 2
     # dist calls per vertex.
     assert calls["segdist"] <= 20 * rm.n_edges
@@ -352,7 +351,7 @@ def test_edge_lines_keep_edge_order():
         "duplicate edge (0, 1)",
         "edge (9, 9) references a missing vertex",
     )
-    assert rm.endpoint_issues == report.issues[1::2]
+    assert rm.edge_issues == report.issues
 
 
 def test_non_injective_starts_reported():

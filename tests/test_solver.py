@@ -1,7 +1,5 @@
 import hashlib
 import logging
-import math
-import random
 import re
 import sys
 import time
@@ -18,9 +16,11 @@ from helpers import (
     fuzz_instance,
     interference_free_instance,
     ordering_instance,
+    plan_digest,
     replay,
     star_instance,
     tiny_instance,
+    toy_instance,
 )
 from mapfla.harness import gen_preset, gen_roadmap, gen_scenario, instance_from_scenario
 from mapfla.model import Edge, Instance, edge_key, make_roadmap
@@ -193,13 +193,13 @@ def test_timeout_status():
 
 
 def test_time_limit_and_elapsed_cover_setup(monkeypatch):
-    build = mapfla.solver.interference_table
+    build = mapfla.solver.InterferenceCache
 
     def slow_build(*args):
         time.sleep(0.2)
         return build(*args)
 
-    monkeypatch.setattr(mapfla.solver, "interference_table", slow_build)
+    monkeypatch.setattr(mapfla.solver, "InterferenceCache", slow_build)
     inst = chain_clear_instance()
     assert solve(inst, cfg(time_limit=0.1)).status == TIMEOUT
     result = solve(inst, cfg())
@@ -310,18 +310,21 @@ def _plan_agent_every_round(
     return False
 
 
-def _toy_instance(toy_seed):
-    """The benchmark's 12-vertex, 3-agent toy drawn from ``toy_seed``."""
-    rng = random.Random(toy_seed)
-    side = math.sqrt(12 * math.pi * 0.25 / 0.3)
-    rm = gen_roadmap(12, 3.4, 1.0, (side, side), seed=rng.randrange(2**31))
-    k = min(3, rm.n_vertices - 2)
-    return Instance(
-        roadmap=rm,
-        radius=rng.uniform(0.3, 0.49),
-        starts=tuple(rng.sample(range(rm.n_vertices), k)),
-        goals=tuple(rng.sample(range(rm.n_vertices), k)),
-    )
+@pytest.mark.parametrize(
+    "toy_seed, digest",
+    [
+        pytest.param(95, "23904b12be906687c05a087e6fad11355491742b3a62f48a94a226f3f662cc67", id="95"),
+        pytest.param(145, "f768c98bf5cfb125864474a40aab107de3d52a50dec9498fee84c876fecc4d2c", id="145"),
+    ],
+)
+def test_sidestep_escape_from_the_unmasked_view_keeps_crowded_toy_plans(toy_seed, digest):
+    """In these 16-vertex, 9-agent toys a sidestep's escape push succeeded
+    where the view it searched still held the edges masked by the push that
+    cleared the sidestep vertex.  The escape now searches the view without
+    those masks; the plan stays the same."""
+    result = solve(toy_instance(toy_seed, 16, 9), cfg())
+    assert result.status == SOLVED
+    assert plan_digest(result.plan) == digest
 
 
 def _sparse_instance(scenario, n):
@@ -333,7 +336,7 @@ def _sparse_instance(scenario, n):
 # Instance, mode, status and the solved plan's length.
 _CYCLING_CASES = [
     *[
-        pytest.param(partial(_toy_instance, s), mode, FAILED, None, id=f"toy-{s}-{mode}")
+        pytest.param(partial(toy_instance, s), mode, FAILED, None, id=f"toy-{s}-{mode}")
         for s in (24, 51, 88, 93, 450, 567)
         for mode in ("la", "naive")
     ],
@@ -433,7 +436,7 @@ def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
     monkeypatch.setattr(mapfla.solver, "_solve_single_order", attempt)
     monkeypatch.setattr(Workspace, "rollback", recording_rollback)
     caplog.set_level(logging.DEBUG, logger="mapfla.solver")
-    result = solve(_toy_instance(51), cfg(order="random-restarts:3:1"))
+    result = solve(toy_instance(51), cfg(order="random-restarts:3:1"))
     assert result.status == FAILED
     assert result.stats.attempts == len(attempts) == 3
     assert all(attempts)  # one cut or more in each attempt

@@ -18,7 +18,7 @@ from helpers import (
     two_branch_instance,
 )
 from mapfla.harness import gen_roadmap
-from mapfla.model import Move, State, edge_key, interference_table, make_roadmap
+from mapfla.model import InterferenceCache, Move, State, edge_key, make_roadmap
 from mapfla.solver import (
     NAIVE,
     GraphView,
@@ -353,12 +353,12 @@ def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
         eager = eager.without(e for e, band in bands.items() if v in band)
     # The lazy view stacks the same masks in a drawn order, as nested
     # pushes do, with the explicit edges masked somewhere in between.
-    table = interference_table(rm, radius)
+    table = InterferenceCache(rm, radius)
     steps = [("near", v) for v in near] + [("edges", removed)]
     rng.shuffle(steps)
     lazy = GraphView(rm)
     for kind, arg in steps:
-        lazy = lazy.avoiding(arg, table.edge_vertices) if kind == "near" else lazy.without(arg)
+        lazy = lazy.avoiding(arg, table) if kind == "near" else lazy.without(arg)
     assert lazy.near == frozenset(near)
     n = rm.n_vertices
     for u in range(n):
@@ -371,10 +371,10 @@ def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
 @settings(max_examples=200, deadline=None)
 def test_a_search_over_a_masked_view_computes_only_the_bands_it_reaches(seed):
     rng, rm, radius, near, removed = _drawn_masks(seed)
-    table = interference_table(rm, radius)
+    table = InterferenceCache(rm, radius)
     view = GraphView(rm).without(removed)
     for v in near:
-        view = view.avoiding(v, table.edge_vertices)
+        view = view.avoiding(v, table)
     src = rng.randrange(rm.n_vertices)
     stop = rng.randint(1, 4)
     expanded = [src]
@@ -385,7 +385,7 @@ def test_a_search_over_a_masked_view_computes_only_the_bands_it_reaches(seed):
     # A layer is expanded only when the next one is asked for, and an edge
     # masked explicitly is dropped before its band is read.
     reached = {edge_key(u, w) for u in expanded for w in rm.adjacency[u]}
-    assert set(table.edge_vertices) == reached - {edge_key(*e) for e in removed}
+    assert set(table) == reached - {edge_key(*e) for e in removed}
 
 
 # -- helper search ---------------------------------------------------------------

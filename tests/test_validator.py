@@ -184,6 +184,26 @@ def test_an_edge_to_a_missing_vertex_is_an_invalid_instance(edge):
         assert str(raised.value) == f"invalid instance: {line}"
 
 
+@pytest.mark.parametrize(
+    "edge, line",
+    [
+        pytest.param((1, 0), "duplicate edge (0, 1)", id="duplicate"),
+        pytest.param((2, 2), "edge (2, 2) is a self-loop", id="self-loop"),
+    ],
+)
+def test_a_self_loop_or_duplicate_edge_is_an_invalid_instance(edge, line):
+    """The plan validator and the oracle reject the edge lists that
+    ``validate_roadmap`` rejects, as ``solve`` does."""
+    rm = make_roadmap(line_instance((0,), (0,)).roadmap.points, [(0, 1), (1, 2), (2, 3), edge])
+    inst = Instance(roadmap=rm, radius=0.3, starts=(0,), goals=(1,))
+    assert validate_roadmap(inst).issues == (line,)
+    report = validate_plan(inst, [Move(0, 0, 1)])
+    assert report == PlanReport(ok=False, failed_index=0, reason=f"invalid instance: {line}")
+    with pytest.raises(ValueError) as raised:
+        joint_bfs_solve(inst)
+    assert str(raised.value) == f"invalid instance: {line}"
+
+
 @st.composite
 def _assignments(draw):
     """Start and goal tuples for a 4-vertex line: often of one length and
