@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .model import Instance, Roadmap, edge_key
-from .solver import FAILED, SOLVED, TIMEOUT, SolverConfig, solve
+from .solver import FAILED, LA, NAIVE, SOLVED, TIMEOUT, SolverConfig, solve
 from .validator import validate_plan
 
 log = logging.getLogger("mapfla.harness")
@@ -350,13 +350,16 @@ def run_bench(
     are tasks or CPUs; with one, it runs in this process.  Every solved plan
     is re-validated before it counts; an invalid one raises
     :class:`BenchSoundnessError` and aborts the benchmark.  Raises
-    ``ValueError`` when ``jobs`` < 1, a mode repeats or a roadmap has no
-    scenarios.
+    ``ValueError`` before any solve when ``jobs`` < 1, a mode is unknown or
+    repeats, or a roadmap has no scenarios.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if len(set(modes)) != len(modes):
         raise ValueError(f"modes {list(modes)} repeat a mode")
+    for mode in modes:
+        if mode not in (LA, NAIVE):
+            raise ValueError(f"unknown mode {mode!r}")
     tasks = []
     task_keys = []
     for name in sorted(roadmaps):

@@ -46,13 +46,13 @@ pass or starts from a pair new to it, and the finite number of pairs bounds
 every pass.
 
 Every push needs the nearest empty vertex and a lexicographically smallest
-shortest path to it.  Both come from one forward BFS from the pushed vertex,
-expanded a hop layer at a time and only as far as targets are consumed;
+shortest path to it.  Both come from forward BFS searches from the pushed
+vertex (``_Search``), grown a hop layer at a time and only as far as asked;
 targets come out by ``(hops, id)``.  The adjacency is sorted and the queue is
-FIFO, so each layer is discovered in the lexicographic order of its vertices'
-smallest paths, and each vertex's first discoverer is its parent on its
-lexicographically smallest shortest path: the parent map yields the very
-paths a reverse BFS from the target plus a greedy walk would.
+FIFO, so each vertex's first discoverer is its parent on its lexicographically
+smallest shortest path, whatever the search's extent: one search of a view
+answers every path in it, as a fresh reverse BFS from each target plus a
+greedy walk would.
 
 Every move the solver emits is legality-checked at application time, so a
 returned plan is valid by construction; failures roll the working state back
@@ -205,50 +205,50 @@ class GraphView:
         return GraphView(self.roadmap, self.removed, self.near | {v}, bands)
 
 
-def _layers(
-    view: GraphView, src: int, blocked: frozenset[int]
-) -> Iterator[tuple[list[int], dict[int, int]]]:
-    """Forward BFS from ``src`` that never enters ``blocked``, expanded one
-    hop layer per step: yields each layer after ``src`` in discovery order
-    with the parent map so far (``src`` is its own parent).  The next layer
-    is expanded from the yielded list, so callers must not reorder it."""
-    if src in blocked:
-        return
-    parent = {src: src}
-    layer = [src]
-    while layer:
-        nxt = []
-        for u in layer:
-            for w in view.neighbors(u):
+class _Search:
+    """Forward BFS from ``src`` over ``view`` that never enters ``blocked``,
+    grown one hop layer at a time on demand.  ``parent`` maps each vertex
+    found to its predecessor (``src`` to itself); ``frontier`` is the last
+    layer found, empty once the search is exhausted."""
+
+    __slots__ = ("view", "blocked", "parent", "frontier")
+
+    def __init__(self, view: GraphView, src: int, blocked: frozenset[int]):
+        self.view = view
+        self.blocked = blocked
+        self.parent = {} if src in blocked else {src: src}
+        self.frontier = tuple(self.parent)
+
+    def next_layer(self) -> tuple[int, ...]:
+        """Find and return the next hop layer, in discovery order."""
+        parent, blocked, nxt = self.parent, self.blocked, []
+        for u in self.frontier:
+            for w in self.view.neighbors(u):
                 if w not in blocked and w not in parent:
                     parent[w] = u
                     nxt.append(w)
-        if nxt:
-            yield nxt, parent
-        layer = nxt
+        self.frontier = tuple(nxt)
+        return self.frontier
 
-
-def _path_to(parent: dict[int, int], v: int) -> list[int]:
-    path = [v]
-    while parent[v] != v:
-        v = parent[v]
-        path.append(v)
-    return path[::-1]
+    def path(self, dst: int) -> list[int] | None:
+        """Shortest path to ``dst``, ties broken toward the lexicographically
+        smallest vertex-id sequence, or None when ``dst`` is unreachable."""
+        parent = self.parent
+        while dst not in parent:
+            if dst in self.blocked or not self.next_layer():
+                return None
+        path = [dst]
+        while parent[dst] != dst:
+            dst = parent[dst]
+            path.append(dst)
+        return path[::-1]
 
 
 def lex_shortest_path(
     view: GraphView, src: int, dst: int, blocked: frozenset[int]
 ) -> list[int] | None:
-    """Shortest path, ties broken toward the lexicographically smallest
-    vertex-id sequence, or None when ``dst`` is unreachable."""
-    if src in blocked or dst in blocked:
-        return None
-    if src == dst:
-        return [src]
-    for _, parent in _layers(view, src, blocked):
-        if dst in parent:
-            return _path_to(parent, dst)
-    return None
+    """:meth:`_Search.path` of a fresh search."""
+    return _Search(view, src, blocked).path(dst)
 
 
 class Workspace:
@@ -553,32 +553,31 @@ class Workspace:
         """Try empty target vertices outside ``avoid`` nearest-first, pushing
         the chain from ``src`` along each one's path with ``push_along_path``
         (``blocked``, ``depth``); on a chain failure mask the failing edge
-        and re-search the path before giving the target up.
+        and search the path again before giving the target up.
 
-        Paths never enter ``path_blocked``.  Targets come from one lazily
-        expanded BFS, in ``(hops, id)`` order; until an edge is masked its
-        parent map gives the paths.  Every failed push is rolled back and
-        masks an edge of its path, so at most one push per edge of ``g``
-        fails.  Returns whether a push succeeded.
+        Paths never enter ``path_blocked``.  Targets come from a search of
+        ``g`` by ``(hops, id)``; paths from a search of the current view, so
+        ``g``'s own until a push fails, then one per masked view.  A failed
+        push is rolled back and masks an edge of its path, so at most one
+        push per edge of ``g`` fails.  Targets stop once the masked search
+        is exhausted and all it reached was offered.  Returns whether a push
+        succeeded.
         """
-        view = g
-        for layer, parent in _layers(g, src, path_blocked):
+        targets = search = _Search(g, src, path_blocked)
+        while search.frontier or any(v not in targets.parent for v in search.parent):
+            layer = targets.next_layer()
+            if not layer:
+                return False
             for eps in sorted(layer):
                 if eps in self.at or eps in avoid:
                     continue
-                while True:
-                    if view is g:
-                        path = _path_to(parent, eps)
-                    else:
-                        path = lex_shortest_path(view, src, eps, path_blocked)
-                        if path is None:
-                            break
+                while (path := search.path(eps)) is not None:
                     attempt = self.mark()
-                    failed = self.push_along_path(view, path, blocked, depth)
+                    failed = self.push_along_path(search.view, path, blocked, depth)
                     if failed is None:
                         return True
                     self.rollback(attempt)
-                    view = view.without((failed,))
+                    search = _Search(search.view.without((failed,)), src, path_blocked)
         return False
 
 

@@ -11,7 +11,7 @@ import random
 
 from helpers import fuzz_instance
 from mapfla.model import State, apply_move
-from mapfla.solver import GraphView, Workspace, _layers, lex_shortest_path
+from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
 from mapfla.validator import is_valid_transition
 
 
@@ -84,12 +84,10 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
         for _ in range(attempts_per_seed):
             occupied = [v for v in ws.at]
             src = rng.choice(occupied)
-            empties = [
-                v
-                for layer, _ in _layers(base, src, frozenset())
-                for v in layer
-                if v not in ws.at
-            ]
+            search = _Search(base, src, frozenset())
+            empties = []
+            while layer := search.next_layer():
+                empties += [v for v in layer if v not in ws.at]
             if not empties:
                 continue
             path = lex_shortest_path(base, src, rng.choice(empties), frozenset())

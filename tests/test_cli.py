@@ -302,3 +302,12 @@ def test_bench_rejects_repeated_mode(capsys):
     assert code == 1
     assert "modes ['la', 'naive', 'la'] repeat a mode" in captured.err
     assert captured.out == ""
+
+
+def test_bench_rejects_unknown_mode_before_solving(monkeypatch, capsys):
+    monkeypatch.setattr(harness, "solve", lambda *a, **k: pytest.fail("solved"))
+    code = main(["bench", "--scenarios", "1", "--modes", "la,foo", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "unknown mode 'foo'" in captured.err
+    assert captured.out == ""

@@ -192,6 +192,16 @@ def test_run_bench_rejects_a_repeated_mode():
         run_bench({}, {}, ["la", "la"], [2], time_limit=1.0)
 
 
+def test_run_bench_rejects_an_unknown_mode_before_solving(monkeypatch):
+    solves = []
+    monkeypatch.setattr(harness, "solve", lambda *a, **k: solves.append(a))
+    rm = gen_roadmap(24, 3.6, 1.0, (9, 9), seed=6)
+    scens = [gen_scenario(rm, 6, seed=0, name="tiny")]
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        run_bench({"tiny": (rm, 0.48)}, {"tiny": scens}, ["la", "foo"], [2], 5.0)
+    assert solves == []
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 

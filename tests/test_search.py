@@ -1,10 +1,10 @@
 """Property tests for the solver's lazy nearest-first search.
 
-The solver finds push targets and paths with one forward BFS expanded a layer
-at a time (``_layers``).  These tests hold it to the search it replaced: a
-full BFS ranking every vertex by ``(hops, id)`` and, per target, a reverse BFS
-from the target followed by a greedy walk over sorted adjacency.  Reference
-copies of both live here only.
+The solver finds push targets and paths with a forward BFS grown a layer at
+a time on demand (``_Search``), one per view.  These tests hold it to the
+search it replaced: a full BFS ranking every vertex by ``(hops, id)`` and, per
+target, a fresh reverse BFS from the target followed by a greedy walk over
+sorted adjacency.  Reference copies of both live here only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapfla.model import Instance, make_roadmap
-from mapfla.solver import GraphView, Workspace, _layers, _path_to, lex_shortest_path
+from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
 
 
 def ref_bfs_dists(view, src, blocked):
@@ -90,12 +90,27 @@ def test_lex_shortest_path_matches_reverse_bfs_greedy(search):
 def test_layers_give_candidates_in_dist_id_order_with_lex_paths(search):
     view, src, blocked = search
     order = []
-    for hops, (layer, parent) in enumerate(_layers(view, src, blocked), start=1):
+    bfs = _Search(view, src, blocked)
+    hops = 0
+    while layer := bfs.next_layer():
+        hops += 1
         for v in sorted(layer):
             order.append((hops, v))
-            assert _path_to(parent, v) == ref_lex_shortest_path(view, src, v, blocked)
+            assert bfs.path(v) == ref_lex_shortest_path(view, src, v, blocked)
     full = ref_bfs_dists(view, src, blocked)
     assert order == sorted((d, v) for v, d in full.items() if v != src)
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches(), st.lists(st.integers(0, 11), max_size=24))
+def test_one_search_answers_targets_in_any_order(search, targets):
+    """Asking one search for several targets, in any order and with
+    repeats, gives each the answer of a fresh reference search."""
+    view, src, blocked = search
+    reused = _Search(view, src, blocked)
+    for dst in targets:
+        if dst < view.roadmap.n_vertices:
+            assert reused.path(dst) == ref_lex_shortest_path(view, src, dst, blocked)
 
 
 @settings(max_examples=300, deadline=None)

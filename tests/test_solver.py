@@ -255,6 +255,18 @@ def test_a_dense_solve_that_pushes_computes_only_the_bands_it_reaches(monkeypatc
     assert result.stats.bands_computed < roadmap.n_edges
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_a_push_stops_searching_targets_its_masked_view_cannot_reach(n):
+    # Here pushes fail and mask an edge.  Searching the masked view afresh for
+    # every later target, and growing the unmasked target search to its end,
+    # computed all 1,200 bands; one search per masked view computes 21 to 49.
+    roadmap, radius = gen_preset("dense-like", 4)
+    inst = instance_from_scenario(roadmap, radius, gen_scenario(roadmap, n, seed=4))
+    result = solve(inst, cfg())
+    assert result.status == SOLVED
+    assert result.stats.bands_computed < roadmap.n_edges // 10
+
+
 def _plan_agent_every_round(
     ws: Workspace,
     base: GraphView,

@@ -23,8 +23,8 @@ from mapfla.solver import (
     NAIVE,
     GraphView,
     Workspace,
-    _layers,
     _NaiveHalt,
+    _Search,
     lex_shortest_path,
     reverse_plan,
 )
@@ -378,10 +378,10 @@ def test_a_search_over_a_masked_view_computes_only_the_bands_it_reaches(seed):
     src = rng.randrange(rm.n_vertices)
     stop = rng.randint(1, 4)
     expanded = [src]
-    for k, (layer, _) in enumerate(_layers(view, src, frozenset()), 1):
-        if k == stop:
-            break
-        expanded += layer
+    search = _Search(view, src, frozenset())
+    for _ in range(stop - 1):
+        expanded += search.next_layer()
+    search.next_layer()
     # A layer is expanded only when the next one is asked for, and an edge
     # masked explicitly is dropped before its band is read.
     reached = {edge_key(u, w) for u in expanded for w in rm.adjacency[u]}
