@@ -171,7 +171,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--mode", choices=["la", "naive"], default="la")
     p.add_argument("--order", default="index",
-                   help="index | perm:<ids> | random-restarts:<k>:<seed>")
+                   help="index | perm:<ids> | random-restarts:<k>:<seed> "
+                        "(at most k orderings, and no more than n! for n agents)")
     p.add_argument("--time-limit", type=float, default=30.0)
     p.set_defaults(func=cmd_solve)
 

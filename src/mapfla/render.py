@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import Instance, Plan, State, apply_move
+from .model import Instance, Plan, State, apply_move, edge_key
 
 _MARGIN = 2.0
 
@@ -105,10 +105,13 @@ def render_plan(instance: Instance, plan: Plan, out_dir: str | Path) -> list[Pat
     """Write ``len(plan) + 1`` frames to ``out_dir``; returns the paths.
 
     Raises ``ValueError``, before writing anything, if a move does not start
-    at its agent's vertex or ends on an occupied one."""
+    at its agent's vertex, ends on an occupied one or does not follow a
+    roadmap edge."""
     states = [State(instance.starts)]
-    for m in plan:
+    for i, m in enumerate(plan):
         states.append(apply_move(states[-1], m))
+        if edge_key(m.src, m.dst) not in instance.roadmap.edge_set:
+            raise ValueError(f"move {i}: ({m.src}, {m.dst}) is not a roadmap edge")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

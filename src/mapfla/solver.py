@@ -63,8 +63,10 @@ call and is filled during the search: an edge's band the first time a move
 or a search asks for it.  A push that must avoid the edges near the
 traversal target masks them in its view (``GraphView.near``), which tests
 an edge's band only when the push's search reaches the edge, so a small
-solve on a dense roadmap computes a few percent of the bands.  The time
-limit covers this work as it covers validation.
+solve on a dense roadmap computes a few percent of the bands.  The chain's
+own traversals run over that view, so ``near`` holds the targets of every
+enclosing traversal.  The time limit covers this work as it covers
+validation.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class _NaiveHalt(Exception):
 @dataclass(frozen=True)
 class SolverConfig:
     mode: str = LA  # "la" | "naive"
-    # "index", "perm:<comma-separated ids>", "random-restarts:<count>:<seed>",
-    # or an explicit permutation tuple.
+    # "index", "perm:<comma-separated ids>", "random-restarts:<count>:<seed>"
+    # (stops early once all k! orderings are tried), or a permutation tuple.
     order: str | tuple[int, ...] = "index"
     time_limit: float = 30.0
 
@@ -333,16 +335,11 @@ class Workspace:
 
     # -- clearing procedures ----------------------------------------------
 
-    def move_la(
-        self,
-        view: GraphView,
-        v_from: int,
-        v_to: int,
-        blocked: frozenset[int],
-        depth: int = 1,
-    ) -> bool:
+    def move_la(self, view: GraphView, v_from: int, v_to: int, depth: int = 1) -> bool:
         """Traverse ``(v_from, v_to)`` with whoever stands on ``v_from``,
         temporarily relocating interfering agents and restoring them after.
+        Every relocation keeps off the edges near the targets of the
+        enclosing traversals, the vertices of ``view.near``.
 
         On success the plan gained a valid subsequence whose net effect moves
         only the traversing agent; on failure state and plan are untouched.
@@ -357,7 +354,7 @@ class Workspace:
         if agent is None or v_to in self.at:
             return False
         entry = self.mark()
-        rev = self.reversable_edge_cleaning(view, v_from, v_to, blocked, depth)
+        rev = self.reversable_edge_cleaning(view, v_from, v_to, depth)
         if rev is None:
             self.stats.case3_failures += 1
             return False
@@ -371,84 +368,62 @@ class Workspace:
         return True
 
     def reversable_edge_cleaning(
-        self,
-        view: GraphView,
-        v_from: int,
-        v_to: int,
-        blocked: frozenset[int],
-        depth: int,
+        self, view: GraphView, v_from: int, v_to: int, depth: int
     ) -> Plan | None:
         """Clear every occupied interfering vertex of ``(v_from, v_to)``.
 
         Applies the clearing moves in place and returns the restore plan
         (already reversed, mover's own moves excluded), which puts every
         relocated agent back once executed after the traversal.  Rolls back
-        and returns None when some vertex cannot be cleared, which is the
-        unresolved-interference case the algorithm does not handle.
+        and returns None at the first vertex that cannot be cleared, which
+        is the unresolved-interference case the algorithm does not handle.
         """
         entry = self.mark()
         mover = self.at[v_from]
         edge = (v_from, v_to)
-        interferers = self.bands[edge_key(v_from, v_to)]
-        i_free = {v for v in interferers if v not in self.at}
         rev_acc: list[Move] = []
         not_cleared: list[int] = []
 
-        for v_p in sorted(interferers - i_free):
+        band = self.bands[edge_key(v_from, v_to)]
+        for v_p in sorted(v for v in band if v in self.at):
             seg_start = self.mark()
-            if self.push_to_empty(view, v_p, blocked | {v_to}, edge, i_free, depth):
+            if self.push_to_empty(view, v_p, edge, depth):
                 rev_acc.extend(m for m in self.plan[seg_start:] if m.agent != mover)
-                i_free.add(v_p)
             else:
                 not_cleared.append(v_p)
 
-        stuck: list[int] = []
         for v_p in not_cleared:
             if v_p in self.at:
-                ret = self.push_through_v_from(view, v_p, blocked, edge, i_free, depth)
+                ret = self.push_through_v_from(view, v_p, edge, depth)
                 if ret is None:
-                    stuck.append(v_p)
-                    continue
+                    log.debug("edge %s: vertex %d not cleared", edge, v_p)
+                    self.rollback(entry)
+                    return None
                 rev_acc.extend(m for m in ret if m.agent != mover)
-            i_free.add(v_p)
-
-        if stuck:
-            log.debug("edge %s: vertices %s not cleared", edge, stuck)
-            self.rollback(entry)
-            return None
         return reverse_plan(rev_acc)
 
     def push_to_empty(
-        self,
-        view: GraphView,
-        v_prime: int,
-        blocked: frozenset[int],
-        edge: tuple[int, int],
-        i_free: AbstractSet[int],
-        depth: int,
+        self, view: GraphView, v_prime: int, edge: tuple[int, int], depth: int
     ) -> bool:
         """Walk the agent on ``v_prime`` to some empty vertex that does not
         interfere with ``edge``, avoiding both endpoints and every edge the
         target endpoint interferes with; the view tests each edge for that
-        when the search reaches it.  ``blocked`` must already contain the
-        traversal target."""
+        when the search reaches it."""
         v_from, v_to = edge
         g = view.avoiding(v_to, self.bands)
-        return self._push_off(g, v_prime, blocked | {v_from}, i_free, blocked, depth)
+        band = self.bands[edge_key(v_from, v_to)]
+        return self._push_off(g, v_prime, g.near | {v_from}, band, depth)
 
     def push_along_path(
-        self,
-        view: GraphView,
-        path: Sequence[int],
-        blocked: frozenset[int],
-        depth: int,
+        self, view: GraphView, path: Sequence[int], depth: int
     ) -> Edge | None:
         """Shift the agents sitting on ``path`` one occupied slot toward its
         tail, last agent first; the tail must be empty.
 
         Frees the head; path vertices that were empty stay empty.  Each
-        individual shift is a ``step`` one level deeper.  Returns None on
-        success, else the edge whose traversal failed (state restored).
+        individual shift is a ``step`` over ``view`` one level deeper.
+        Returns None on success, else the edge whose traversal failed (state
+        restored).
         """
         if len(path) < 2:
             return None
@@ -459,7 +434,7 @@ class Workspace:
         target = len(path) - 1
         for i in reversed(occupied_idx):
             for j in range(i, target):
-                if not self.step(view, path[j], path[j + 1], blocked, depth + 1):
+                if not self.step(view, path[j], path[j + 1], depth + 1):
                     failed = (path[j], path[j + 1])
                     self.rollback(entry)
                     return failed
@@ -467,13 +442,7 @@ class Workspace:
         return None
 
     def push_through_v_from(
-        self,
-        view: GraphView,
-        v_prime: int,
-        blocked: frozenset[int],
-        edge: tuple[int, int],
-        i_free: AbstractSet[int],
-        depth: int,
+        self, view: GraphView, v_prime: int, edge: tuple[int, int], depth: int
     ) -> Plan | None:
         """Clear ``v_prime`` when its only escape runs through ``v_from``:
         sidestep the mover to a neighbour, walk the interferer out through
@@ -490,40 +459,35 @@ class Workspace:
         if a_prime is None or mover is None:
             return None
         occupied_at_entry = frozenset(self.at)
+        band = self.bands[edge_key(v_from, v_to)]
         g_clear = view.avoiding(v_to, self.bands)
         # The mover sidesteps with the traversal edge itself masked out; the
         # sidestep may brush the traversal target since it is undone before
         # the traversal happens.
         g_no_e = view.without((edge_key(v_from, v_to),))
-        push_blocked = blocked | {v_to}
 
         for n_v in view.neighbors(v_from):
-            if n_v in blocked or n_v == v_prime:
+            if n_v in view.near or n_v == v_prime:
                 continue
             entry_n = self.mark()
             if n_v in self.at and not self._push_off(
-                g_clear, n_v, blocked | {v_from, v_to, v_prime},
-                i_free | {v_to}, push_blocked, depth,
+                g_clear, n_v, g_clear.near | {v_from, v_prime}, band, depth
             ):
                 continue
             pi_clear_n = list(self.plan[entry_n:])
 
             entry_side = self.mark()
-            if not self.move_la(g_no_e, v_from, n_v, blocked, depth + 1):
+            if not self.move_la(g_no_e, v_from, n_v, depth + 1):
                 self.rollback(entry_n)
                 continue
             pi_side = list(self.plan[entry_side:])
             touched = {v for m in pi_side for v in (m.src, m.dst)}
-            avoid = (
-                occupied_at_entry
-                | i_free
-                | touched
-                | self.bands[edge_key(v_from, n_v)]
-            )
-            hold = push_blocked | {self.pos[m.agent] for m in pi_side}
+            side_band = self.bands[edge_key(v_from, n_v)]
+            avoid = occupied_at_entry | band | touched | side_band
+            hold = g_clear.near | {self.pos[m.agent] for m in pi_side}
 
             entry_push = self.mark()
-            if not self._push_off(g_clear, v_prime, hold, avoid, push_blocked, depth):
+            if not self._push_off(g_clear, v_prime, hold, avoid, depth):
                 self.rollback(entry_n)
                 continue
             pi_escape = list(self.plan[entry_push:])
@@ -547,13 +511,13 @@ class Workspace:
         src: int,
         path_blocked: frozenset[int],
         avoid: AbstractSet[int],
-        blocked: frozenset[int],
         depth: int,
     ) -> bool:
         """Try empty target vertices outside ``avoid`` nearest-first, pushing
         the chain from ``src`` along each one's path with ``push_along_path``
-        (``blocked``, ``depth``); on a chain failure mask the failing edge
-        and search the path again before giving the target up.
+        at ``depth``; on a chain failure mask the failing edge and search the
+        path again before giving the target up.  Every chain move runs over
+        a view of ``g``, so it keeps off the edges near ``g.near``.
 
         Paths never enter ``path_blocked``.  Targets come from a search of
         ``g`` by ``(hops, id)``; paths from a search of the current view, so
@@ -573,7 +537,7 @@ class Workspace:
                     continue
                 while (path := search.path(eps)) is not None:
                     attempt = self.mark()
-                    failed = self.push_along_path(search.view, path, blocked, depth)
+                    failed = self.push_along_path(search.view, path, depth)
                     if failed is None:
                         return True
                     self.rollback(attempt)
@@ -669,7 +633,10 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
         rng = random.Random(seed)
         seen = {identity}
         yield identity
+        distinct = math.factorial(k)
         for _ in range(count - 1):
+            if len(seen) == distinct:  # every ordering tried: only repeats remain
+                return
             perm = list(identity)
             rng.shuffle(perm)
             t = tuple(perm)
@@ -744,7 +711,7 @@ def _plan_agent(
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
                         break
-                if not ws.step(base, u, v, frozenset(), 1):
+                if not ws.step(base, u, v):
                     banned.add(edge_key(u, v))
                     break
                 advanced = True
@@ -775,12 +742,5 @@ def _outer_push(
     locked agents' vertices in the first pass, none in the second.
     """
     tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
-    tried: set[frozenset[int]] = set()
-    for avoid in tiers:
-        key = (avoid | hard) - {head}
-        if key in tried:
-            continue
-        tried.add(key)
-        if ws._push_off(base, head, key, frozenset(), frozenset(), 0):
-            return True
-    return False
+    keys = dict.fromkeys((avoid | hard) - {head} for avoid in tiers)
+    return any(ws._push_off(base, head, key, frozenset(), 0) for key in keys)

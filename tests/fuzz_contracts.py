@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from helpers import fuzz_instance
-from mapfla.model import State, apply_move
+from mapfla.model import State, apply_move, edge_key
 from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
 from mapfla.validator import is_valid_transition
 
@@ -56,7 +56,7 @@ def fuzz_move_la(seeds, attempts_per_seed: int = 6) -> int:
                 continue
             v = rng.choice(nbrs)
             snap = _snapshot(ws)
-            ok = ws.move_la(base, u, v, frozenset())
+            ok = ws.move_la(base, u, v)
             if ok:
                 assert ws.pos[agent] == v
                 checks += 1
@@ -96,7 +96,7 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
             snap = _snapshot(ws)
             was_empty = [v for v in path if v not in ws.at]
             on_path_agents = {ws.at[v] for v in path if v in ws.at}
-            failed = ws.push_along_path(base, path, frozenset(), depth=0)
+            failed = ws.push_along_path(base, path, depth=0)
             if failed is None:
                 assert path[0] not in ws.at  # head freed
                 assert path[-1] in ws.at  # tail taken
@@ -136,7 +136,7 @@ def fuzz_edge_cleaning(seeds, attempts_per_seed: int = 6) -> int:
                 continue
             v = rng.choice(nbrs)
             snap = _snapshot(ws)
-            restore = ws.reversable_edge_cleaning(base, u, v, frozenset(), depth=1)
+            restore = ws.reversable_edge_cleaning(base, u, v, depth=1)
             if restore is None:
                 checks += _assert_restored(ws, snap)
                 continue
@@ -175,25 +175,27 @@ def fuzz_transactional_rollback(seeds, attempts_per_seed: int = 8) -> int:
                 u, v = rng.choice(edges)
                 if rng.random() < 0.5:
                     u, v = v, u
-                if not ws.move_la(base, u, v, frozenset()):
+                if not ws.move_la(base, u, v):
                     checks += _assert_restored(ws, snap)
             elif kind == 1:
                 occupied = sorted(ws.at)
                 v_p = rng.choice(occupied)
                 u, v = rng.choice(edges)
-                ok = ws.push_to_empty(
-                    base, v_p, frozenset({v}), (u, v), frozenset(), depth=1
-                )
-                if not ok:
+                ok = ws.push_to_empty(base, v_p, (u, v), depth=1)
+                if ok:
+                    # the agent parks off the edge's band and both endpoints
+                    band = ws.bands[edge_key(u, v)]
+                    for w in set(ws.at) - set(snap[0]):
+                        assert w not in band and w not in (u, v), (w, (u, v))
+                        checks += 1
+                else:
                     checks += _assert_restored(ws, snap)
             else:
                 occupied = sorted(ws.at)
                 v_p = rng.choice(occupied)
                 u, v = rng.choice(edges)
                 if ws.pos[0] != u and u in ws.at and v_p != u:
-                    ret = ws.push_through_v_from(
-                        base, v_p, frozenset(), (u, v), frozenset(), depth=1
-                    )
+                    ret = ws.push_through_v_from(base, v_p, (u, v), depth=1)
                     if ret is None:
                         checks += _assert_restored(ws, snap)
                 else:

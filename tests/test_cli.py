@@ -198,6 +198,25 @@ def test_render_rejects_teleporting_plan(tmp_path, capsys):
     assert not (tmp_path / "frames").exists()
 
 
+@pytest.mark.parametrize("dst", [9999, -1])
+def test_render_rejects_a_move_off_the_roadmap(tmp_path, capsys, dst):
+    # 9999 raised an IndexError in the frame code; -1 drew the last vertex.
+    inst = ordering_instance()
+    map_path, scen_path = write_fixture(tmp_path, inst, "order")
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, [Move(0, 0, dst)])
+    code = main(
+        ["render", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path), "--out", str(tmp_path / "frames")]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        f"error: move 0: (0, {dst}) is not a roadmap edge"
+    ]
+    assert not (tmp_path / "frames").exists()
+
+
 def invalid_instances():
     """A start past the last vertex, and two agents on one start."""
     rm = make_roadmap([(0.0, 0.0), (1.2, 0.0), (2.4, 0.0)], [(0, 1), (1, 2)])

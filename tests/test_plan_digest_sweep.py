@@ -19,8 +19,12 @@ agent counts, toys of several sizes, a 2,000-vertex roadmap and restarts:
   where index order fails, at n = 30 and 40, la.
 
 The time limit is far above any of these solves, so no digest depends on
-load.  Mismatching families are reported with their digests; rerun the
-family's generator at both commits to find the solve that differs.
+load.  Mismatching families are reported with their digests.  To find the
+solve that differs, print a family's lines at both commits and ``diff`` them:
+
+    PYTHONPATH=src python tests/test_plan_digest_sweep.py toys-12-5 > a.txt
+
+The SHA-256 of that output is the family's digest.
 """
 
 from __future__ import annotations
@@ -101,11 +105,17 @@ PINNED = {
 }
 
 
-def family_digest(name: str) -> str:
-    h = hashlib.sha256()
+def family_lines(name: str):
+    """The ``"<key> <status> <plan digest>"`` line of each solve of ``name``."""
     for key, inst, config in FAMILIES[name]():
         result = solve(inst, config)
-        h.update(f"{key} {result.status} {plan_digest(result.plan)}\n".encode())
+        yield f"{key} {result.status} {plan_digest(result.plan)}\n"
+
+
+def family_digest(name: str) -> str:
+    h = hashlib.sha256()
+    for line in family_lines(name):
+        h.update(line.encode())
     return h.hexdigest()
 
 
@@ -117,3 +127,11 @@ def test_every_family_keeps_its_plans():
     ) as pool:
         got = dict(zip(names, pool.map(family_digest, names)))
     assert got == PINNED
+
+
+if __name__ == "__main__":
+    import sys
+
+    if len(sys.argv) != 2 or sys.argv[1] not in FAMILIES:
+        sys.exit(f"usage: {sys.argv[0]} FAMILY, one of: {', '.join(FAMILIES)}")
+    sys.stdout.writelines(family_lines(sys.argv[1]))

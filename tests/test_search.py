@@ -176,7 +176,7 @@ def test_push_off_tries_the_same_paths_as_the_eager_search(
 
     got_log, want_log = [], []
     ws.push_along_path = scripted(got_log)
-    got_ok = ws._push_off(view, src, blocked, rejected, frozenset(), 1)
+    got_ok = ws._push_off(view, src, blocked, rejected, 1)
     want_ok = ref_push_off(ws, view, src, blocked, acceptable, scripted(want_log))
     assert got_log == want_log
     assert got_ok == want_ok

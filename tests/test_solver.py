@@ -96,6 +96,19 @@ def test_ordering_fixture_restarts_recover():
     assert validate_plan(inst, result.plan).ok
 
 
+def test_restarts_stop_once_every_ordering_was_tried():
+    # Two agents have 2! = 2 orderings.  Agent 0's goal lies off the only
+    # edge, so both fail; the generator used to keep shuffling for the rest
+    # of the count, about 2 s past a 0.2 s limit.
+    rm = make_roadmap([(0.0, 0.0), (1.2, 0.0), (6.0, 6.0)], [(0, 1)])
+    inst = Instance(rm, 0.3, (0, 1), (2, 0))
+    t0 = time.monotonic()
+    result = solve(inst, cfg(order="random-restarts:3000000:1", time_limit=0.2))
+    assert time.monotonic() - t0 < 0.5
+    assert result.status == FAILED
+    assert result.stats.attempts == 2
+
+
 def test_la_clears_where_naive_halts():
     inst = chain_clear_instance()
     la = solve(inst, cfg())
@@ -130,7 +143,7 @@ def test_trace_log_names_the_uncleared_edge_and_the_given_up_agent(caplog):
     caplog.set_level(logging.DEBUG, logger="mapfla.solver")
     assert solve(case3_instance(), cfg()).status == FAILED
     debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-    assert "edge (0, 1): vertices [2] not cleared" in debug
+    assert "edge (0, 1): vertex 2 not cleared" in debug
     assert debug[-1] == "agent 0 given up at vertex 0, goal 1"
 
 
@@ -306,7 +319,7 @@ def _plan_agent_every_round(
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
                         break
-                if not ws.step(base, u, v, frozenset(), 1):
+                if not ws.step(base, u, v):
                     banned.add(edge_key(u, v))
                     banned_now = True
                     break

@@ -42,14 +42,14 @@ def test_move_la_trivial_when_no_interference():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
     # agent 2 sits alone at vertex 4; vertex 5 free
-    assert ws.move_la(base, 4, 5, frozenset())
+    assert ws.move_la(base, 4, 5)
     assert ws.plan == [Move(2, 4, 5)]
 
 
 def test_move_la_chain_clearing_and_restore():
     inst = chain_clear_instance()
     ws, base = make_ws(inst)
-    assert ws.move_la(base, 0, 1, frozenset())
+    assert ws.move_la(base, 0, 1)
     assert ws.plan == [
         Move(2, 3, 4),
         Move(1, 2, 3),
@@ -64,7 +64,7 @@ def test_move_la_chain_clearing_and_restore():
 def test_move_la_sidestep_through_own_vertex():
     inst = sidestep_instance()
     ws, base = make_ws(inst)
-    assert ws.move_la(base, 0, 1, frozenset())
+    assert ws.move_la(base, 0, 1)
     assert tuple(ws.pos) == (1, 2)  # interferer restored to vertex 2
     # the interferer must have transited the vacated hub
     assert any(m.agent == 1 and 0 in (m.src, m.dst) for m in ws.plan)
@@ -75,7 +75,7 @@ def test_move_la_case3_fails_transactionally_and_counts():
     inst = case3_instance()
     ws, base = make_ws(inst)
     before = (tuple(ws.pos), list(ws.plan))
-    assert not ws.move_la(base, 0, 1, frozenset())
+    assert not ws.move_la(base, 0, 1)
     assert ws.stats.case3_failures == 1
     assert (tuple(ws.pos), ws.plan) == before
 
@@ -83,16 +83,16 @@ def test_move_la_case3_fails_transactionally_and_counts():
 def test_move_la_rejects_occupied_target_and_missing_edge():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
-    assert not ws.move_la(base, 0, 1, frozenset())  # vertex 1 occupied
-    assert not ws.move_la(base, 0, 2, frozenset())  # no such edge
-    assert not ws.move_la(base, 2, 3, frozenset())  # no agent on vertex 2
+    assert not ws.move_la(base, 0, 1)  # vertex 1 occupied
+    assert not ws.move_la(base, 0, 2)  # no such edge
+    assert not ws.move_la(base, 2, 3)  # no agent on vertex 2
     assert ws.plan == []
 
 
 def test_move_la_depth_limit():
     inst = chain_clear_instance()
     ws, base = make_ws(inst)
-    assert not ws.move_la(base, 0, 1, frozenset(), depth=99)
+    assert not ws.move_la(base, 0, 1, depth=99)
     assert ws.plan == []
 
 
@@ -103,7 +103,7 @@ def test_push_along_path_shifts_chain_one_slot():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
     path = [0, 1, 2, 3, 4, 5]
-    assert ws.push_along_path(base, path, frozenset(), depth=0) is None
+    assert ws.push_along_path(base, path, depth=0) is None
     # last agent to the tail, the others into their successors' old slots
     assert tuple(ws.pos) == (1, 4, 5)
     assert 0 not in ws.at  # head freed
@@ -114,7 +114,7 @@ def test_push_along_path_shifts_chain_one_slot():
 def test_push_along_path_single_step():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
-    assert ws.push_along_path(base, [4, 5], frozenset(), depth=0) is None
+    assert ws.push_along_path(base, [4, 5], depth=0) is None
     assert ws.plan == [Move(2, 4, 5)]
 
 
@@ -122,7 +122,7 @@ def test_push_along_path_blocked_edge_reported_and_rolled_back():
     inst = retry_instance()
     ws, base = make_ws(inst)
     before = (tuple(ws.pos), list(ws.plan))
-    failed = ws.push_along_path(base, [2, 3, 4], frozenset(), depth=0)
+    failed = ws.push_along_path(base, [2, 3, 4], depth=0)
     assert failed == (3, 4)  # geometrically blocked by the parked agent
     assert (tuple(ws.pos), ws.plan) == before
 
@@ -133,9 +133,7 @@ def test_push_along_path_blocked_edge_reported_and_rolled_back():
 def test_push_to_empty_retries_around_blocked_edge():
     inst = retry_instance()
     ws, base = make_ws(inst)
-    ok = ws.push_to_empty(
-        base, 2, frozenset({1}), (0, 1), frozenset(), depth=1
-    )
+    ok = ws.push_to_empty(base, 2, (0, 1), depth=1)
     assert ok
     assert 2 not in ws.at  # interferer gone from the edge's band
     assert any(6 in (m.src, m.dst) for m in ws.plan)  # detour taken
@@ -147,7 +145,7 @@ def test_push_to_empty_single_adjacent_push():
     inst = chain_clear_instance()
     ws, base = make_ws(inst)
     # agent 2 on vertex 3 is adjacent to the free non-interfering vertex 4
-    ok = ws.push_to_empty(base, 3, frozenset({1}), (0, 1), frozenset(), depth=1)
+    ok = ws.push_to_empty(base, 3, (0, 1), depth=1)
     assert ok
     assert ws.plan == [Move(2, 3, 4)]
 
@@ -159,7 +157,7 @@ def test_cleaning_trivial_when_interferers_unoccupied():
     assert ws.try_move(2, 3, 4)
     assert ws.try_move(1, 2, 3)
     mark = len(ws.plan)
-    restore = ws.reversable_edge_cleaning(base, 0, 1, frozenset(), depth=1)
+    restore = ws.reversable_edge_cleaning(base, 0, 1, depth=1)
     assert restore == []
     assert len(ws.plan) == mark
 
@@ -168,7 +166,7 @@ def test_push_to_empty_no_escape_returns_false():
     inst = case3_instance()
     ws, base = make_ws(inst)
     before = (tuple(ws.pos), list(ws.plan))
-    ok = ws.push_to_empty(base, 2, frozenset({1}), (0, 1), frozenset(), depth=1)
+    ok = ws.push_to_empty(base, 2, (0, 1), depth=1)
     assert not ok
     assert (tuple(ws.pos), ws.plan) == before
 
@@ -179,9 +177,7 @@ def test_push_to_empty_no_escape_returns_false():
 def test_push_through_v_from_success_shape():
     inst = sidestep_instance()
     ws, base = make_ws(inst)
-    ret = ws.push_through_v_from(
-        base, 2, frozenset(), (0, 1), frozenset(), depth=1
-    )
+    ret = ws.push_through_v_from(base, 2, (0, 1), depth=1)
     assert ret is not None
     # mover back home, interferer relocated off its vertex
     assert ws.pos[0] == 0
@@ -195,25 +191,24 @@ def test_push_through_v_from_no_viable_neighbour():
     inst = case3_instance()
     ws, base = make_ws(inst)
     before = (tuple(ws.pos), list(ws.plan))
-    ret = ws.push_through_v_from(
-        base, 2, frozenset(), (0, 1), frozenset(), depth=1
-    )
+    ret = ws.push_through_v_from(base, 2, (0, 1), depth=1)
     assert ret is None
     assert (tuple(ws.pos), ws.plan) == before
 
 
 def test_push_through_v_from_blocked_neighbours_fail_fast():
     inst = sidestep_instance()
-    ws, base = make_ws(inst)
-    blocked = frozenset({3, 4})  # both spare hub neighbours forbidden
-    ret = ws.push_through_v_from(base, 2, blocked, (0, 1), frozenset(), depth=1)
+    ws = Workspace(inst)
+    # both spare hub neighbours are targets of enclosing traversals
+    view = GraphView(inst.roadmap, near=frozenset({3, 4}), bands=ws.bands)
+    ret = ws.push_through_v_from(view, 2, (0, 1), depth=1)
     assert ret is None
 
 
 def test_push_through_v_from_second_neighbour_after_occupied_first():
     inst = two_branch_instance()
     ws, base = make_ws(inst)
-    assert ws.move_la(base, 0, 1, frozenset())
+    assert ws.move_la(base, 0, 1)
     assert tuple(ws.pos) == (1, 2, 3)
     # the parked agent on the dead-end spoke was never disturbed
     assert all(m.agent != 2 for m in ws.plan)
@@ -228,7 +223,7 @@ def test_push_through_v_from_second_neighbour_after_occupied_first():
 def naive_step(ws, u, v):
     """``ws.step`` of a naive workspace, with a halt counted as False."""
     try:
-        return ws.step(GraphView(ws.instance.roadmap), u, v, frozenset(), 1)
+        return ws.step(GraphView(ws.instance.roadmap), u, v)
     except _NaiveHalt:
         return False
 
@@ -284,7 +279,7 @@ def test_reverse_plan_round_trip(triples):
 def test_reverse_plan_undoes_execution():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
-    assert ws.push_along_path(base, [0, 1, 2, 3, 4, 5], frozenset(), depth=0) is None
+    assert ws.push_along_path(base, [0, 1, 2, 3, 4, 5], depth=0) is None
     forward = list(ws.plan)
     state = replay(inst, forward)
     for m in reverse_plan(forward):
@@ -301,15 +296,15 @@ def test_reverse_plan_undoes_execution():
 def test_step_is_move_la_for_la_and_halts_for_naive():
     inst = chain_clear_instance()  # agent 1 on vertex 2 interferes with (0, 1)
     ws, base = make_ws(inst)
-    assert ws.step(base, 0, 1, frozenset(), 1)
+    assert ws.step(base, 0, 1)
     assert ws.pos[0] == 1 and ws.pos[1:] == [2, 3]
 
     ws = Workspace(inst, mode=NAIVE)
     with pytest.raises(_NaiveHalt):
-        ws.step(base, 0, 1, frozenset(), 1)
+        ws.step(base, 0, 1)
     assert ws.plan == []
     with pytest.raises(_NaiveHalt):
-        ws.push_along_path(base, [0, 1], frozenset(), 0)
+        ws.push_along_path(base, [0, 1], 0)
 
 
 # -- graph view ------------------------------------------------------------------
