@@ -8,10 +8,11 @@ Grammar (whitespace-delimited, one record per line, ``#`` comments allowed):
     r <radius>          roadmap <name>         m <agent> <from> <to> ...
     v <id> <x> <y> ...  a <start> <goal> ...
 
-Vertex ids must be dense from 0; the ``v``/``e``/``a``/``m`` record order in a
-file is preserved on load, and the writers emit exactly what they were given,
-so parse -> serialize round-trips are byte-stable.  Parse errors carry the
-offending line number.
+Vertex ids must be dense from 0, and a plan's agent and vertex ids must not
+be negative; the ``v``/``e``/``a``/``m`` record order in a file is preserved
+on load, and the writers emit exactly what they were given, so parse ->
+serialize round-trips are byte-stable.  Parse errors carry the offending line
+number.
 """
 
 from __future__ import annotations
@@ -51,6 +52,13 @@ def _int(token: str, source: str, line_no: int, what: str) -> int:
         return int(token)
     except ValueError:
         raise FileFormatError(source, line_no, f"{what} must be an integer, got {token!r}")
+
+
+def _id(token: str, source: str, line_no: int, what: str) -> int:
+    value = _int(token, source, line_no, what)
+    if value < 0:
+        raise FileFormatError(source, line_no, f"{what} must be >= 0, got {value}")
+    return value
 
 
 def _float(token: str, source: str, line_no: int, what: str) -> float:
@@ -182,9 +190,9 @@ def loads_plan(text: str, source: str = "<plan>") -> Plan:
             raise FileFormatError(source, line_no, "m record needs agent, from, to")
         moves.append(
             Move(
-                _int(tokens[1], source, line_no, "agent"),
-                _int(tokens[2], source, line_no, "from vertex"),
-                _int(tokens[3], source, line_no, "to vertex"),
+                _id(tokens[1], source, line_no, "agent"),
+                _id(tokens[2], source, line_no, "from vertex"),
+                _id(tokens[3], source, line_no, "to vertex"),
             )
         )
     return moves

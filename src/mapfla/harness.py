@@ -321,8 +321,21 @@ class BenchReport:
         raise KeyError((roadmap, mode, n))
 
 
-def _run_one(args) -> tuple[str, float]:
-    roadmap, radius, scenario, n, mode, time_limit = args
+# A worker process's roadmaps by name, set once by the pool's initializer:
+# every task the worker runs on a roadmap shares its interference table.
+_worker_roadmaps: Mapping[str, tuple[Roadmap, float]] = {}
+
+
+def _set_worker_roadmaps(roadmaps: Mapping[str, tuple[Roadmap, float]]) -> None:
+    global _worker_roadmaps
+    _worker_roadmaps = roadmaps
+
+
+def _run_one(task, roadmaps: Mapping | None = None) -> tuple[str, float]:
+    """Solve and check one task on its roadmap, looked up by name in
+    ``roadmaps``, or in the worker's roadmaps when run in a pool."""
+    name, scenario, n, mode, time_limit = task
+    roadmap, radius = (_worker_roadmaps if roadmaps is None else roadmaps)[name]
     instance = instance_from_scenario(roadmap, radius, scenario, n)
     config = SolverConfig(mode=mode, time_limit=time_limit)
     started = time.perf_counter()
@@ -347,8 +360,10 @@ def run_bench(
     """Run the full (roadmap x mode x n x scenario) grid and aggregate.
 
     Up to ``jobs`` worker processes run the grid, but never more than there
-    are tasks or CPUs; with one, it runs in this process.  Every solved plan
-    is re-validated before it counts; an invalid one raises
+    are tasks or CPUs; with one, it runs in this process.  Each worker gets
+    every roadmap once, when it starts, and a task names its roadmap, so the
+    solves a process runs on one roadmap share its interference table.
+    Every solved plan is re-validated before it counts; an invalid one raises
     :class:`BenchSoundnessError` and aborts the benchmark.  Raises
     ``ValueError`` before any solve when ``jobs`` < 1, a mode is unknown or
     repeats, or a roadmap has no scenarios.
@@ -369,15 +384,19 @@ def run_bench(
         for mode in modes:
             for n in n_values:
                 for si, scenario in enumerate(scenarios[name]):
-                    tasks.append((roadmap, radius, scenario, n, mode, time_limit))
+                    tasks.append((name, scenario, n, mode, time_limit))
                     task_keys.append((name, mode, n, si))
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_set_worker_roadmaps,
+            initargs=(dict(roadmaps),),
+        ) as pool:
             results = list(pool.map(_run_one, tasks, chunksize=1))
     else:
-        results = [_run_one(task) for task in tasks]
+        results = [_run_one(task, roadmaps) for task in tasks]
     outcomes = dict(zip(task_keys, results))
 
     for key, (status, _) in outcomes.items():

@@ -2,10 +2,13 @@
 moves, and the edge/vertex interference relation.
 
 The relation is computed one edge's band at a time on first lookup by
-:class:`InterferenceCache`, the solver's per-solve table; it has no map from
-a vertex to its edges.  Its band test and the separation check of
-:func:`validate_roadmap` share one sort of the vertices by x per roadmap
-(:attr:`Roadmap.x_order`).  The edge list check (:attr:`Roadmap.edge_issues`)
+:class:`InterferenceCache`; it has no map from a vertex to its edges.  A
+roadmap keeps one table per agent radius (:attr:`Roadmap.interference_tables`),
+so every solve on the same ``Roadmap`` object shares the bands earlier solves
+computed.  Its band test and the separation check of :func:`validate_roadmap`
+share one sort of the vertices by x per roadmap (:attr:`Roadmap.x_order`).
+The lines of that check that depend only on the roadmap and the radius are
+cached on the roadmap too.  The edge list check (:attr:`Roadmap.edge_issues`)
 and the start/goal assignment check (:func:`assignment_issues`) serve roadmap
 validation, the plan validator and the oracle.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -42,11 +45,21 @@ class Roadmap:
 
     ``edge_list`` keeps edges exactly as supplied (including any malformed
     entries) so that :func:`validate_roadmap` can report them; derived
-    structures below assume a roadmap that passed validation.
+    structures below assume a roadmap that passed validation.  Each is
+    computed once and kept; none refers back to the roadmap, so an unused
+    roadmap is freed at once, without the cyclic collector.
     """
 
     points: tuple[Point2D, ...]
     edge_list: tuple[tuple[int, int], ...]
+    # The solver's InterferenceCache per agent radius, added by the first
+    # solve at that radius and shared by every later one.
+    interference_tables: dict[float, InterferenceCache] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _separation_lines: dict[tuple[type, float], tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_vertices(self) -> int:
@@ -98,6 +111,43 @@ class Roadmap:
                 seen.add(k)
         return tuple(issues)
 
+    @cached_property
+    def vertex_issues(self) -> tuple[str, ...]:
+        """One line per vertex with a non-finite coordinate, in id order."""
+        return tuple([
+            f"vertex {v} has non-finite coordinates ({x!r}, {y!r})"
+            for v, (x, y) in enumerate(self.points)
+            if not (math.isfinite(x) and math.isfinite(y))
+        ])
+
+    def separation_issues(self, radius: float) -> tuple[str, ...]:
+        """One line per pair of finite vertices not strictly farther apart
+        than ``2 * radius``, in ``(u, v)`` order, for a finite positive
+        ``radius``; kept per radius.
+
+        Only the pairs an x-sorted sweep finds within ``2r + 2 EPS`` of each
+        other along both axes are tested.
+        """
+        key = (type(radius), radius)  # equal radii of two types may print apart
+        lines = self._separation_lines.get(key)
+        if lines is None:
+            limit = clearance_threshold(radius)
+            margin = limit + EPS
+            pts = self.points
+            order, xs = self.x_order
+            close = []
+            for i, u in enumerate(order):
+                x, y = pts[u]
+                for v in order[i + 1 : bisect_right(xs, x + margin, i + 1)]:
+                    if abs(pts[v][1] - y) <= margin and (d := dist(pts[u], pts[v])) <= limit:
+                        close.append((min(u, v), max(u, v), d))
+            lines = self._separation_lines[key] = tuple([
+                f"vertices {u} and {v} are {d:.9g} apart; "
+                f"separation must exceed 2r = {2 * radius:.9g}"
+                for u, v, d in sorted(close)
+            ])
+        return lines
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
@@ -139,13 +189,17 @@ Plan = list[Move]
 
 
 class InterferenceCache(dict):
-    """Interference relation of one (roadmap, radius) pair, meant to live
-    for one solve: ``table[e]`` is edge ``e``'s band, every non-endpoint
-    vertex whose occupation blocks traversal of ``e``.
+    """Interference relation of one (roadmap, radius) pair: ``table[e]`` is
+    edge ``e``'s band, every non-endpoint vertex whose occupation blocks
+    traversal of ``e``.  The solver keeps one per radius in
+    :attr:`Roadmap.interference_tables`, so it lives as long as its roadmap
+    and serves every solve on it.
 
     A band is computed on its first lookup and stored, so ``len(table)`` is
     the number computed so far; a key that is not an edge gives None and is
-    not stored.  Nothing maps a vertex to its edges.
+    not stored.  Nothing maps a vertex to its edges.  The table copies the
+    roadmap's edge set, points and x order rather than refer to the roadmap,
+    which holds the table: a reference back would make a cycle.
 
     A vertex is in edge ``e``'s band when it is finite, not an endpoint of
     ``e``, lies in ``e``'s bounding box grown by ``2r + EPS`` plus ``EPS``
@@ -155,21 +209,22 @@ class InterferenceCache(dict):
     clearance the validator demands of transitions.
     """
 
-    __slots__ = ("roadmap", "threshold")
+    __slots__ = ("edge_set", "points", "x_order", "threshold")
 
     def __init__(self, roadmap: Roadmap, radius: float):
         super().__init__()
-        self.roadmap = roadmap
+        self.edge_set = roadmap.edge_set
+        self.points = roadmap.points
+        self.x_order = roadmap.x_order
         self.threshold = clearance_threshold(radius)
 
     def __missing__(self, e: Edge) -> frozenset[int] | None:
-        rm = self.roadmap
-        if e not in rm.edge_set:
+        if e not in self.edge_set:
             return None
         threshold = self.threshold
         margin = threshold + EPS
-        pts = rm.points
-        order, xs = rm.x_order
+        pts = self.points
+        order, xs = self.x_order
         u, w = e
         a, b = pts[u], pts[w]
         (ax, ay), (bx, by) = a, b
@@ -198,14 +253,17 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
     """Check every structural invariant of an instance, never raising.
 
     Reported violations:
-      * non-finite coordinates or non-positive radius
+      * a non-positive or non-finite radius, then non-finite coordinates
+        (:attr:`Roadmap.vertex_issues`)
       * edges to missing vertices, self-loops and duplicate edges
         (:attr:`Roadmap.edge_issues`)
-      * vertex pairs not strictly farther apart than ``2r``, in ``(u, v)``
-        order, testing only the finite pairs an x-sorted sweep finds within
-        ``2r + 2 EPS`` of each other along both axes
+      * vertex pairs not strictly farther apart than ``2r``
+        (:meth:`Roadmap.separation_issues`)
       * start/goal assignments out of range or non-injective
         (:func:`assignment_issues`)
+
+    Only the radius and assignment lines are built on every call; the
+    roadmap keeps the others.
     """
     issues: list[str] = []
     rm = instance.roadmap
@@ -213,30 +271,10 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
 
     if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
         issues.append(f"agent radius must be a positive finite number, got {r!r}")
-
-    for v, (x, y) in enumerate(rm.points):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
-
+    issues += rm.vertex_issues
     issues += rm.edge_issues
-
     if math.isfinite(r) and r > 0:
-        limit = clearance_threshold(r)
-        margin = limit + EPS
-        pts = rm.points
-        order, xs = rm.x_order
-        close = []
-        for i, u in enumerate(order):
-            x, y = pts[u]
-            for v in order[i + 1 : bisect_right(xs, x + margin, i + 1)]:
-                if abs(pts[v][1] - y) <= margin and (d := dist(pts[u], pts[v])) <= limit:
-                    close.append((min(u, v), max(u, v), d))
-        for u, v, d in sorted(close):
-            issues.append(
-                f"vertices {u} and {v} are {d:.9g} apart; "
-                f"separation must exceed 2r = {2 * r:.9g}"
-            )
-
+        issues += rm.separation_issues(r)
     issues += assignment_issues(instance)
     return InstanceReport(ok=not issues, issues=tuple(issues))
 

@@ -58,15 +58,17 @@ Every move the solver emits is legality-checked at application time, so a
 returned plan is valid by construction; failures roll the working state back
 transactionally.
 
-The interference relation is read from a table that lives for one ``solve``
-call and is filled during the search: an edge's band the first time a move
-or a search asks for it.  A push that must avoid the edges near the
-traversal target masks them in its view (``GraphView.near``), which tests
-an edge's band only when the push's search reaches the edge, so a small
-solve on a dense roadmap computes a few percent of the bands.  The chain's
-own traversals run over that view, so ``near`` holds the targets of every
-enclosing traversal.  The time limit covers this work as it covers
-validation.
+The interference relation is read from a table that the roadmap keeps per
+agent radius (``Roadmap.interference_tables``), so every solve on the same
+``Roadmap`` object shares it.  It is filled during the searches: an edge's
+band the first time a move or a search asks for it.  A push that must avoid
+the edges near the traversal target masks them in its view
+(``GraphView.near``), which tests an edge's band only when the push's
+search reaches the edge, so a small solve on a fresh dense roadmap computes
+a few percent of the bands.  The chain's own traversals run over that view,
+so ``near`` holds the targets of every enclosing traversal.  The time limit
+covers this work as it covers validation, whose roadmap-only lines the
+roadmap keeps as well.
 """
 
 from __future__ import annotations
@@ -130,6 +132,11 @@ class SolverConfig:
 
 @dataclass
 class SolveStats:
+    """Counters of one ``solve`` call.  ``bands_computed`` counts the edge
+    bands this call added to the roadmap's interference table: 0 when
+    earlier solves on the same ``Roadmap`` object had computed every band it
+    read."""
+
     elapsed: float = 0.0
     moves: int = 0
     move_la_calls: int = 0
@@ -154,9 +161,9 @@ class GraphView:
     """A roadmap with some edges masked out; vertices are never removed.
 
     An edge is masked when ``removed`` holds it, in either orientation, or
-    when a vertex of ``near`` lies in its band.  ``bands`` is the solve's
-    :class:`InterferenceCache`, so a band is read, and computed, only when a
-    search reaches the edge.
+    when a vertex of ``near`` lies in its band.  ``bands`` is the
+    :class:`InterferenceCache` the solve uses, so a band is read, and
+    computed if no solve has yet, only when a search reaches the edge.
     """
 
     __slots__ = ("roadmap", "removed", "near", "bands", "_masked")
@@ -562,7 +569,9 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     status is ``solved`` (plan attached), ``failed`` (all orderings
     exhausted), or ``timeout``.  The time limit and ``stats.elapsed`` cover
     the whole call, validation and the bands computed during the search
-    included; ``stats.bands_computed`` counts those bands.
+    included.  The interference table is the roadmap's own for this radius,
+    built on the first solve at that radius; ``stats.bands_computed`` counts
+    the bands this call added to it.
     """
     config = config or SolverConfig()
     if config.mode not in (LA, NAIVE):
@@ -572,20 +581,27 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     t0 = time.monotonic()
     deadline = t0 + config.time_limit
     check_instance(instance)
-    bands = InterferenceCache(instance.roadmap, instance.radius)
+    tables = instance.roadmap.interference_tables
+    bands = tables.get(instance.radius)
+    if bands is None:
+        bands = tables[instance.radius] = InterferenceCache(
+            instance.roadmap, instance.radius
+        )
+    held = len(bands)
     total = SolveStats()
 
     def finish(status: str, plan: Plan | None) -> SolveResult:
         total.elapsed = time.monotonic() - t0
         total.moves = len(plan) if plan is not None else 0
-        total.bands_computed = len(bands)
+        total.bands_computed = len(bands) - held
         log.info(
             "solve: %s after %d attempt(s), %.1f ms, %d move-la calls, "
-            "%d of %d edge bands computed",
+            "%d edge bands held from earlier solves, %d of %d edge bands computed",
             status,
             total.attempts,
             total.elapsed * 1e3,
             total.move_la_calls,
+            held,
             total.bands_computed,
             instance.roadmap.n_edges,
         )

@@ -201,6 +201,7 @@ def test_render_rejects_teleporting_plan(tmp_path, capsys):
 @pytest.mark.parametrize("dst", [9999, -1])
 def test_render_rejects_a_move_off_the_roadmap(tmp_path, capsys, dst):
     # 9999 raised an IndexError in the frame code; -1 drew the last vertex.
+    # The plan parser now rejects -1 itself, naming the line.
     inst = ordering_instance()
     map_path, scen_path = write_fixture(tmp_path, inst, "order")
     plan_path = tmp_path / "p.txt"
@@ -213,8 +214,28 @@ def test_render_rejects_a_move_off_the_roadmap(tmp_path, capsys, dst):
     assert code == 1
     assert captured.err.splitlines() == [
         f"error: move 0: (0, {dst}) is not a roadmap edge"
+        if dst >= 0
+        else f"error: {plan_path}:2: to vertex must be >= 0, got {dst}"
     ]
     assert not (tmp_path / "frames").exists()
+
+
+@pytest.mark.parametrize("record", ["m -1 0 1", "m 0 -1 1", "m 0 0 -1"])
+def test_validate_rejects_a_negative_plan_id_as_malformed(tmp_path, capsys, record):
+    # It was read as a move and judged an invalid plan (exit 2).
+    inst = ordering_instance()
+    map_path, scen_path = write_fixture(tmp_path, inst, "order")
+    plan_path = tmp_path / "p.txt"
+    plan_path.write_text(f"mapfla-plan 1\nm 0 0 1\n{record}\n")
+    code = main(
+        ["validate", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {plan_path}:3: ") and "must be >= 0, got -1" in line
 
 
 def invalid_instances():

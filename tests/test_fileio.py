@@ -105,3 +105,24 @@ def test_missing_required_records():
 def test_unknown_record_rejected():
     with pytest.raises(fileio.FileFormatError):
         fileio.loads_plan("mapfla-plan 1\nq 1 2 3\n")
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("m -1 0 -5", "agent must be >= 0, got -1"),
+        ("m 0 -2 1", "from vertex must be >= 0, got -2"),
+        ("m 0 1 -5", "to vertex must be >= 0, got -5"),
+    ],
+)
+def test_negative_plan_ids_rejected(record, message):
+    # The first was read as Move(-1, 0, -5).
+    text = f"mapfla-plan 1\nm 0 1 2\n# a comment\n{record}\n"
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.loads_plan(text, "p.plan")
+    assert err.value.line_no == 4
+    assert str(err.value) == f"p.plan:4: {message}"
+
+
+def test_zero_plan_ids_accepted():
+    assert fileio.loads_plan("mapfla-plan 1\nm 0 0 0\n") == [Move(0, 0, 0)]

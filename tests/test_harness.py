@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from mapfla.harness import (
     instance_from_scenario,
     run_bench,
 )
-from mapfla.model import Instance, validate_roadmap
+from mapfla.model import Instance, Roadmap, validate_roadmap
 
 
 def test_gen_roadmap_single_vertex():
@@ -203,12 +204,14 @@ def test_run_bench_rejects_an_unknown_mode_before_solving(monkeypatch):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the
+    initializer and maps in-process."""
 
     created: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.created.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -229,11 +232,49 @@ def test_run_bench_caps_workers_at_cpus_and_tasks(monkeypatch, jobs, cpus, worke
     monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "created", [])
+    # The in-process initializer sets the worker's roadmaps; undo it after.
+    monkeypatch.setattr(harness, "_worker_roadmaps", {})
     report = _small_bench(jobs=jobs)
     assert _RecordingPool.created == ([] if workers is None else [workers])
     assert [(r.solved, r.failed) for r in report.rows] == [
         (r.solved, r.failed) for r in _small_bench().rows
     ]
+
+
+def test_run_bench_sends_each_roadmap_to_a_worker_once(monkeypatch):
+    sent = []
+
+    class Pool(_RecordingPool):
+        def __init__(self, max_workers, initializer, initargs):
+            sent.append(initargs)
+            super().__init__(max_workers, initializer, initargs)
+
+        def map(self, fn, tasks, chunksize=1):
+            sent.append(list(tasks))
+            return map(fn, sent[-1])
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness, "_worker_roadmaps", {})
+    report = _small_bench(jobs=2)
+    [(roadmaps,), tasks] = sent
+    assert list(roadmaps) == ["tiny"]
+    assert len(tasks) == 24
+    assert all(task[0] == "tiny" for task in tasks)
+    assert not any(isinstance(x, Roadmap) for task in tasks for x in task)
+    serial = _small_bench().rows
+    assert [replace(r, mean_ms=0) for r in report.rows] == [
+        replace(r, mean_ms=0) for r in serial
+    ]
+
+
+def test_serial_run_bench_shares_the_callers_roadmap_and_leaves_no_state():
+    rm = gen_roadmap(24, 3.6, 1.0, (9, 9), seed=6)
+    scens = [gen_scenario(rm, 6, seed=i, name="tiny") for i in range(4)]
+    run_bench({"tiny": (rm, 0.48)}, {"tiny": scens}, ["la"], [6], time_limit=5.0)
+    assert len(rm.interference_tables[0.48]) > 0
+    assert harness._worker_roadmaps == {}
 
 
 def test_empty_bench_is_empty_report():

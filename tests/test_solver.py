@@ -207,17 +207,24 @@ def test_timeout_status():
 
 def test_time_limit_and_elapsed_cover_setup(monkeypatch):
     build = mapfla.solver.InterferenceCache
+    builds = []
 
     def slow_build(*args):
+        builds.append(args)
         time.sleep(0.2)
         return build(*args)
 
     monkeypatch.setattr(mapfla.solver, "InterferenceCache", slow_build)
     inst = chain_clear_instance()
     assert solve(inst, cfg(time_limit=0.1)).status == TIMEOUT
-    result = solve(inst, cfg())
+    # A fresh roadmap has no table yet, so this solve builds one.
+    result = solve(chain_clear_instance(), cfg())
     assert result.status == SOLVED
     assert result.stats.elapsed >= 0.2
+    assert len(builds) == 2
+    # The first roadmap kept the table its timed-out solve built.
+    assert solve(inst, cfg()).status == SOLVED
+    assert len(builds) == 2
 
 
 def test_stats_are_populated():
