@@ -366,7 +366,7 @@ def run_bench(
     Every solved plan is re-validated before it counts; an invalid one raises
     :class:`BenchSoundnessError` and aborts the benchmark.  Raises
     ``ValueError`` before any solve when ``jobs`` < 1, a mode is unknown or
-    repeats, or a roadmap has no scenarios.
+    repeats, a roadmap has no scenarios, or some ``n`` is outside 1..pairs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -378,9 +378,11 @@ def run_bench(
     tasks = []
     task_keys = []
     for name in sorted(roadmaps):
-        roadmap, radius = roadmaps[name]
         if not scenarios[name]:
             raise ValueError(f"roadmap {name!r} has no scenarios")
+        fewest = min(len(scenario.pairs) for scenario in scenarios[name])
+        if any(not 1 <= n <= fewest for n in n_values):
+            raise ValueError(f"agent counts {list(n_values)} must lie in 1..{fewest}")
         for mode in modes:
             for n in n_values:
                 for si, scenario in enumerate(scenarios[name]):

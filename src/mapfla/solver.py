@@ -36,14 +36,15 @@ loop with a plain single-edge step (``Workspace.step``) in place of
 ``move_la``: it clears no interference, and a blocked traversal halts the
 attempt.  It is the baseline the benchmark harness compares against.
 
-A round of ``_plan_agent`` is a deterministic function of the agent
-positions and the banned edges (``locked`` and the pass are fixed), so a
-round that starts from the same pair as an earlier round of the pass starts
-a cycle that would never reach the goal.  The loop rolls the plan back to
-where that earlier round started, which drops the cycle's moves (they have
-no net effect), and ends the pass.  Each round therefore either ends the
-pass or starts from a pair new to it, and the finite number of pairs bounds
-every pass.
+Neither loop of the outer planner has a cap: each is deterministic in a
+finite state and stops when that state repeats.  A round of ``_plan_agent``
+is fixed by the positions and the banned edges (``locked`` and the pass are
+fixed); a round that starts from an earlier round's pair rolls the plan back
+to where that round started, dropping the cycle's moves (they have no net
+effect), and ends the pass.  ``_solve_single_order``'s queue loop is fixed by
+the positions, the queue and the order of ``locked``, which orders the
+re-queues.  Every cycle re-queues, and the queue only shrinks in between, so
+the loop records that triple after each re-queue and fails on a repeat.
 
 Every push needs the nearest empty vertex and a lexicographically smallest
 shortest path to it.  Both come from forward BFS searches from the pushed
@@ -209,9 +210,9 @@ class GraphView:
             return self
         return GraphView(self.roadmap, self.removed | extra, self.near, self.bands)
 
-    def avoiding(self, v: int, bands: dict[Edge, frozenset[int]]) -> "GraphView":
+    def avoiding(self, v: int) -> "GraphView":
         """This view with every edge whose band holds ``v`` masked too."""
-        return GraphView(self.roadmap, self.removed, self.near | {v}, bands)
+        return GraphView(self.roadmap, self.removed, self.near | {v}, self.bands)
 
 
 class _Search:
@@ -268,8 +269,8 @@ class Workspace:
     interfering vertex), so whatever ends up in ``plan`` is valid from the
     instance start.  ``mark``/``rollback`` give exact transactional undo.
     ``bands`` is an :class:`InterferenceCache`, read by indexing alone: a
-    miss computes the band, and a non-edge gives None.  A push hands it to
-    its view, which reads it edge by edge.
+    miss computes the band, and a non-edge gives None.  The solve's base view
+    holds it too, and every view derived from it reads it edge by edge.
     """
 
     def __init__(
@@ -417,7 +418,7 @@ class Workspace:
         target endpoint interferes with; the view tests each edge for that
         when the search reaches it."""
         v_from, v_to = edge
-        g = view.avoiding(v_to, self.bands)
+        g = view.avoiding(v_to)
         band = self.bands[edge_key(v_from, v_to)]
         return self._push_off(g, v_prime, g.near | {v_from}, band, depth)
 
@@ -467,7 +468,7 @@ class Workspace:
             return None
         occupied_at_entry = frozenset(self.at)
         band = self.bands[edge_key(v_from, v_to)]
-        g_clear = view.avoiding(v_to, self.bands)
+        g_clear = view.avoiding(v_to)
         # The mover sidesteps with the traversal edge itself masked out; the
         # sidestep may brush the traversal target since it is undone before
         # the traversal happens.
@@ -501,15 +502,12 @@ class Workspace:
 
             # Walk the mover (and anything its sidestep disturbed) back;
             # the escaped interferer's own sidestep moves, if any, stay out.
-            restored = True
             for m in reversed([m for m in pi_side if m.agent != a_prime]):
                 if not self.try_move(m.agent, m.dst, m.src):
-                    restored = False
+                    self.rollback(entry_n)
                     break
-            if not restored:
-                self.rollback(entry_n)
-                continue
-            return pi_clear_n + pi_escape
+            else:
+                return pi_clear_n + pi_escape
         return None
 
     def _push_off(
@@ -666,10 +664,10 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
 
 def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
     instance = ws.instance
-    base = GraphView(instance.roadmap)
+    base = GraphView(instance.roadmap, bands=ws.bands)
     locked: dict[int, int] = {}  # finished agent -> its goal vertex
     queue = deque(order)
-    disturb_budget = 4 * instance.n_agents + 8
+    seen: set[tuple] = set()  # loop states after a re-queue: see the module docstring
     while queue:
         ws.check_time()
         agent = queue.popleft()
@@ -680,9 +678,12 @@ def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
         for a in displaced:
             del locked[a]
             queue.append(a)
-            disturb_budget -= 1
-            if disturb_budget < 0:
+        if displaced:
+            key = (tuple(ws.pos), tuple(queue), tuple(locked))
+            if key in seen:
+                log.debug("outer loop state repeated: agents %s re-queued", displaced)
                 return False
+            seen.add(key)
     return True
 
 

@@ -46,7 +46,7 @@ def fuzz_move_la(seeds, attempts_per_seed: int = 6) -> int:
     for seed in seeds:
         inst = _small_instance(seed)
         ws = Workspace(inst)
-        base = GraphView(inst.roadmap)
+        base = GraphView(inst.roadmap, bands=ws.bands)
         rng = random.Random(seed ^ 0xA5A5_1234)
         for _ in range(attempts_per_seed):
             agent = rng.randrange(inst.n_agents)
@@ -79,7 +79,7 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
     for seed in seeds:
         inst = _small_instance(seed)
         ws = Workspace(inst)
-        base = GraphView(inst.roadmap)
+        base = GraphView(inst.roadmap, bands=ws.bands)
         rng = random.Random(seed ^ 0x0FF5_77AA)
         for _ in range(attempts_per_seed):
             occupied = [v for v in ws.at]
@@ -126,7 +126,7 @@ def fuzz_edge_cleaning(seeds, attempts_per_seed: int = 6) -> int:
     for seed in seeds:
         inst = _small_instance(seed)
         ws = Workspace(inst)
-        base = GraphView(inst.roadmap)
+        base = GraphView(inst.roadmap, bands=ws.bands)
         rng = random.Random(seed ^ 0x5EED_0451)
         for _ in range(attempts_per_seed):
             agent = rng.randrange(inst.n_agents)
@@ -165,7 +165,7 @@ def fuzz_transactional_rollback(seeds, attempts_per_seed: int = 8) -> int:
     for seed in seeds:
         inst = _small_instance(seed)
         ws = Workspace(inst)
-        base = GraphView(inst.roadmap)
+        base = GraphView(inst.roadmap, bands=ws.bands)
         rng = random.Random(seed ^ 0x7007_BEEF)
         edges = sorted(inst.roadmap.edge_set)
         for _ in range(attempts_per_seed):

@@ -125,8 +125,9 @@ def full_table(roadmap, radius):
 
 def masked_by(roadmap, bands, v):
     """The edges that a push around vertex ``v`` masks: every edge that
-    ``GraphView.avoiding(v, bands)`` drops, asked edge by edge."""
-    view = GraphView(roadmap).avoiding(v, bands)
+    ``GraphView.avoiding(v)`` drops on a view reading ``bands``, asked edge
+    by edge."""
+    view = GraphView(roadmap, bands=bands).avoiding(v)
     return frozenset(e for e in roadmap.edge_set if not view.has_edge(*e))
 
 

@@ -203,6 +203,17 @@ def test_run_bench_rejects_an_unknown_mode_before_solving(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("n_values", [[2, 6, 7], [0, 2]])
+def test_run_bench_rejects_agent_counts_outside_pairs_before_solving(monkeypatch, n_values):
+    solves = []
+    monkeypatch.setattr(harness, "solve", lambda *a, **k: solves.append(a))
+    rm = gen_roadmap(24, 3.6, 1.0, (9, 9), seed=6)
+    scens = [gen_scenario(rm, pairs, seed=pairs, name="tiny") for pairs in (8, 6)]
+    with pytest.raises(ValueError, match=r"agent counts \[.*\] must lie in 1\.\.6"):
+        run_bench({"tiny": (rm, 0.48)}, {"tiny": scens}, ["la"], n_values, 5.0)
+    assert solves == []
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers, runs the
     initializer and maps in-process."""

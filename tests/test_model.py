@@ -146,7 +146,7 @@ def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
     the view, and stores nothing."""
     table = InterferenceCache(rm, r)
     n = rm.n_vertices
-    views = [GraphView(rm).avoiding(v, table) for v in range(n)]
+    views = [GraphView(rm, bands=table).avoiding(v) for v in range(n)]
     keys = [(None, e) for e in rm.edge_set]
     keys += [(v, e) for v in range(n) for e in rm.edge_set]
     random.Random(lookup_seed).shuffle(keys)
@@ -168,7 +168,7 @@ def assert_lookup_order_is_irrelevant(rm, r, full, lookup_seed):
     for bad in outside:
         assert table[bad] is None
     for v in (-1, n):  # a vertex off the roadmap is in no band
-        off = GraphView(rm).avoiding(v, table)
+        off = GraphView(rm, bands=table).avoiding(v)
         assert all(off.has_edge(*e) for e in rm.edge_set)
     assert table == full
 

@@ -479,6 +479,17 @@ def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
     assert all(dropped > 0 for _, _, dropped in cuts)
 
 
+def test_a_repeated_outer_loop_state_fails_the_ordering_once_logged(caplog):
+    # Agents push each other off their goals forever on this toy.  A cap of
+    # 4·K + 8 re-queues used to end the cycle after 127 move-la calls.
+    caplog.set_level(logging.DEBUG, logger="mapfla.solver")
+    result = solve(toy_instance(143, 12, 5), cfg(mode="la"))
+    assert result.status == FAILED
+    pattern = re.compile(r"outer loop state repeated: agents \[[\d, ]+\] re-queued")
+    assert sum(bool(pattern.fullmatch(r.getMessage())) for r in caplog.records) == 1
+    assert result.stats.move_la_calls < 127
+
+
 @pytest.mark.parametrize("mode", ["la", "naive"])
 def test_outer_push_gets_the_locked_agents_vertices_as_hard(monkeypatch, mode):
     """``_plan_agent`` computes ``hard`` once per round and ``_outer_push``

@@ -32,7 +32,8 @@ from mapfla.validator import is_valid_transition
 
 
 def make_ws(inst):
-    return Workspace(inst), GraphView(inst.roadmap)
+    ws = Workspace(inst)
+    return ws, GraphView(inst.roadmap, bands=ws.bands)
 
 
 # -- move_la on the hand-built fixtures ----------------------------------------
@@ -351,9 +352,9 @@ def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
     table = InterferenceCache(rm, radius)
     steps = [("near", v) for v in near] + [("edges", removed)]
     rng.shuffle(steps)
-    lazy = GraphView(rm)
+    lazy = GraphView(rm, bands=table)
     for kind, arg in steps:
-        lazy = lazy.avoiding(arg, table) if kind == "near" else lazy.without(arg)
+        lazy = lazy.avoiding(arg) if kind == "near" else lazy.without(arg)
     assert lazy.near == frozenset(near)
     n = rm.n_vertices
     for u in range(n):
@@ -367,9 +368,9 @@ def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
 def test_a_search_over_a_masked_view_computes_only_the_bands_it_reaches(seed):
     rng, rm, radius, near, removed = _drawn_masks(seed)
     table = InterferenceCache(rm, radius)
-    view = GraphView(rm).without(removed)
+    view = GraphView(rm, bands=table).without(removed)
     for v in near:
-        view = view.avoiding(v, table)
+        view = view.avoiding(v)
     src = rng.randrange(rm.n_vertices)
     stop = rng.randint(1, 4)
     expanded = [src]
