@@ -5,12 +5,14 @@ The relation is computed one edge's band at a time on first lookup by
 :class:`InterferenceCache`; it has no map from a vertex to its edges.  A
 roadmap keeps one table per agent radius (:attr:`Roadmap.interference_tables`),
 so every solve on the same ``Roadmap`` object shares the bands earlier solves
-computed.  Its band test and the separation check of :func:`validate_roadmap`
-share one sort of the vertices by x per roadmap (:attr:`Roadmap.x_order`).
-The lines of that check that depend only on the roadmap and the radius are
-cached on the roadmap too.  The edge list check (:attr:`Roadmap.edge_issues`)
-and the start/goal assignment check (:func:`assignment_issues`) serve roadmap
-validation, the plan validator and the oracle.
+computed, and each goal's hop distances (:meth:`Roadmap.hops_to`) for the
+solver's outer-loop path search.  Its band test and the separation check of
+:func:`validate_roadmap` share one sort of the vertices by x per roadmap
+(:attr:`Roadmap.x_order`).  The lines of that check that depend only on the
+roadmap and the radius are cached on the roadmap too.  The edge list check
+(:attr:`Roadmap.edge_issues`) and the start/goal assignment check
+(:func:`assignment_issues`) serve roadmap validation, the plan validator and
+the oracle.
 
 Conventions used throughout the package:
 
@@ -24,6 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,7 +50,9 @@ class Roadmap:
     entries) so that :func:`validate_roadmap` can report them; derived
     structures below assume a roadmap that passed validation.  Each is
     computed once and kept; none refers back to the roadmap, so an unused
-    roadmap is freed at once, without the cyclic collector.
+    roadmap is freed at once, without the cyclic collector.  The caches
+    filled by solves (``interference_tables`` and ``goal_hops``) are left
+    out of ``__init__``, ``repr`` and ``==``.
     """
 
     points: tuple[Point2D, ...]
@@ -55,6 +60,10 @@ class Roadmap:
     # The solver's InterferenceCache per agent radius, added by the first
     # solve at that radius and shared by every later one.
     interference_tables: dict[float, InterferenceCache] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # Per goal vertex, the hop distances of ``hops_to``.
+    goal_hops: dict[int, array] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _separation_lines: dict[tuple[type, float], tuple[str, ...]] = field(
@@ -147,6 +156,31 @@ class Roadmap:
                 for u, v, d in sorted(close)
             ])
         return lines
+
+    def hops_to(self, goal: int) -> array:
+        """The hop distance from every vertex to ``goal`` over the whole
+        roadmap, ``n_vertices`` where ``goal`` is unreachable; one BFS over
+        :attr:`adjacency` on the first call per goal, kept in
+        :attr:`goal_hops`.  Stored as an ``array`` of small unsigned ints:
+        a dict or list per goal would take several times the memory."""
+        hops = self.goal_hops.get(goal)
+        if hops is None:
+            n = len(self.points)
+            adjacency = self.adjacency
+            dist = [n] * n
+            dist[goal] = 0
+            frontier, k = [goal], 0
+            while frontier:
+                k += 1
+                nxt = []
+                for u in frontier:
+                    for w in adjacency[u]:
+                        if dist[w] == n:
+                            dist[w] = k
+                            nxt.append(w)
+                frontier = nxt
+            hops = self.goal_hops[goal] = array("H" if n < 1 << 16 else "L", dist)
+        return hops
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]

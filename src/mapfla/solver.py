@@ -55,6 +55,19 @@ smallest shortest path, whatever the search's extent: one search of a view
 answers every path in it, as a fresh reverse BFS from each target plus a
 greedy walk would.
 
+The outer loop replans each agent's path toward its goal many times a solve
+(``lex_shortest_path``), so that search is pruned.  The roadmap keeps each
+goal's hop distances from every vertex (``Roadmap.hops_to``), computed by
+one BFS the first time any solve searches toward that goal.  A roadmap hop
+distance is a lower bound in every view, so a search that must reach the
+goal in D = h(src) hops keeps a vertex found at hop k only if h <= D - k:
+the vertices of every shortest path, and hence their first discoverers,
+survive, and the path is the one the full search gives.  When locked agents
+or banned edges make every path longer than D, the pruned search misses the
+goal and the full ``_Search`` runs instead.  D is tried once and never
+raised a hop at a time: locked agents force detours many hops long, and a
+search per hop costs far more than one full search.
+
 Every move the solver emits is legality-checked at application time, so a
 returned plan is valid by construction; failures roll the working state back
 transactionally.
@@ -136,7 +149,8 @@ class SolveStats:
     """Counters of one ``solve`` call.  ``bands_computed`` counts the edge
     bands this call added to the roadmap's interference table: 0 when
     earlier solves on the same ``Roadmap`` object had computed every band it
-    read."""
+    read.  ``hop_tables_computed`` likewise counts the goals whose hop
+    distances this call added to ``Roadmap.goal_hops``."""
 
     elapsed: float = 0.0
     moves: int = 0
@@ -144,6 +158,7 @@ class SolveStats:
     case3_failures: int = 0
     attempts: int = 0
     bands_computed: int = 0
+    hop_tables_computed: int = 0
 
 
 @dataclass
@@ -172,9 +187,9 @@ class GraphView:
     def __init__(
         self,
         roadmap: Roadmap,
+        bands: InterferenceCache,
         removed: frozenset[Edge] = frozenset(),
         near: frozenset[int] = frozenset(),
-        bands: dict[Edge, frozenset[int]] | None = None,
     ):
         self.roadmap = roadmap
         self.removed = removed
@@ -208,11 +223,11 @@ class GraphView:
         extra = frozenset(edges)
         if not extra:
             return self
-        return GraphView(self.roadmap, self.removed | extra, self.near, self.bands)
+        return GraphView(self.roadmap, self.bands, self.removed | extra, self.near)
 
     def avoiding(self, v: int) -> "GraphView":
         """This view with every edge whose band holds ``v`` masked too."""
-        return GraphView(self.roadmap, self.removed, self.near | {v}, self.bands)
+        return GraphView(self.roadmap, self.bands, self.removed, self.near | {v})
 
 
 class _Search:
@@ -247,17 +262,46 @@ class _Search:
         while dst not in parent:
             if dst in self.blocked or not self.next_layer():
                 return None
-        path = [dst]
-        while parent[dst] != dst:
-            dst = parent[dst]
-            path.append(dst)
-        return path[::-1]
+        return _walk_back(parent, dst)
+
+
+def _walk_back(parent: dict[int, int], dst: int) -> list[int]:
+    """The path from the search's source to ``dst`` through ``parent``."""
+    path = [dst]
+    while parent[dst] != dst:
+        dst = parent[dst]
+        path.append(dst)
+    return path[::-1]
 
 
 def lex_shortest_path(
     view: GraphView, src: int, dst: int, blocked: frozenset[int]
 ) -> list[int] | None:
-    """:meth:`_Search.path` of a fresh search."""
+    """The path :meth:`_Search.path` gives, found first by a search pruned
+    with the roadmap's hop distances to ``dst`` (see the module docstring).
+    That search reads the roadmap's adjacency and the view's masked edges
+    directly, so a view with ``near`` vertices, and a path longer than the
+    roadmap's hop distance, get the full :class:`_Search`.
+    """
+    if view.near:
+        return _Search(view, src, blocked).path(dst)
+    hops = view.roadmap.hops_to(dst)
+    if hops[src] == len(hops) or src in blocked or dst in blocked:
+        return None
+    adjacency, masked = view.roadmap.adjacency, view._masked
+    parent = {src: src}
+    frontier = [src]
+    for left in range(hops[src] - 1, -1, -1):  # hops left to dst after this layer
+        nxt = []
+        for u in frontier:
+            gone = masked.get(u, ())
+            for w in adjacency[u]:
+                if hops[w] <= left and w not in parent and w not in blocked and w not in gone:
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    if dst in parent:
+        return _walk_back(parent, dst)
     return _Search(view, src, blocked).path(dst)
 
 
@@ -569,7 +613,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     the whole call, validation and the bands computed during the search
     included.  The interference table is the roadmap's own for this radius,
     built on the first solve at that radius; ``stats.bands_computed`` counts
-    the bands this call added to it.
+    the bands this call added to it, and ``stats.hop_tables_computed`` the
+    goals' hop distances it added to the roadmap.
     """
     config = config or SolverConfig()
     if config.mode not in (LA, NAIVE):
@@ -586,19 +631,24 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
             instance.roadmap, instance.radius
         )
     held = len(bands)
+    goal_hops = instance.roadmap.goal_hops
+    hops_held = len(goal_hops)
     total = SolveStats()
 
     def finish(status: str, plan: Plan | None) -> SolveResult:
         total.elapsed = time.monotonic() - t0
         total.moves = len(plan) if plan is not None else 0
         total.bands_computed = len(bands) - held
+        total.hop_tables_computed = len(goal_hops) - hops_held
         log.info(
             "solve: %s after %d attempt(s), %.1f ms, %d move-la calls, "
+            "%d goal hop tables computed, "
             "%d edge bands held from earlier solves, %d of %d edge bands computed",
             status,
             total.attempts,
             total.elapsed * 1e3,
             total.move_la_calls,
+            total.hop_tables_computed,
             held,
             total.bands_computed,
             instance.roadmap.n_edges,
@@ -664,7 +714,7 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
 
 def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
     instance = ws.instance
-    base = GraphView(instance.roadmap, bands=ws.bands)
+    base = GraphView(instance.roadmap, ws.bands)
     locked: dict[int, int] = {}  # finished agent -> its goal vertex
     queue = deque(order)
     seen: set[tuple] = set()  # loop states after a re-queue: see the module docstring

@@ -1,7 +1,7 @@
-"""A roadmap keeps its interference table per radius and its roadmap-only
-validation lines: solves that share a ``Roadmap`` object must give the plans
-that fresh copies give, count only the bands they add, and leave nothing
-that keeps a dropped roadmap alive."""
+"""A roadmap keeps its interference table per radius, its hop distances per
+goal and its roadmap-only validation lines: solves that share a ``Roadmap``
+object must give the plans that fresh copies give, count only the bands and
+hop tables they add, and leave nothing that keeps a dropped roadmap alive."""
 
 from __future__ import annotations
 
@@ -124,6 +124,40 @@ def test_the_info_line_names_the_bands_held_and_computed(caplog):
     )
 
 
+def test_goal_hops_are_kept_on_the_roadmap_and_counted_per_solve(caplog):
+    roadmap, radius = gen_preset("sparse-like", 0)
+    caplog.set_level("INFO", logger="mapfla.solver")
+    counts = []
+    for seed in range(4):
+        scen = gen_scenario(roadmap, 40, seed=seed)
+        for n, mode in ((12, "la"), (40, "naive"), (30, "la")):
+            inst = instance_from_scenario(roadmap, radius, scen, n)
+            first = solve(inst, SolverConfig(mode))
+            counts.append(first.stats.hop_tables_computed)
+            assert caplog.records[-1].getMessage().count(
+                f", {counts[-1]} goal hop tables computed, "
+            ) == 1
+            kept = dict(roadmap.goal_hops)
+            again = solve(inst, SolverConfig(mode))
+            assert again.stats.hop_tables_computed == 0
+            assert all(roadmap.goal_hops[g] is hops for g, hops in kept.items())
+    assert sum(counts) == len(roadmap.goal_hops)
+    assert counts[0] > 0 and 0 in counts[1:]
+    fresh = _copy(roadmap)
+    for goal, hops in roadmap.goal_hops.items():
+        assert fresh.hops_to(goal) == hops
+
+
+def test_goal_hops_leave_equality_hash_and_repr_alone():
+    roadmap, radius = gen_preset("sparse-like", 0)
+    copy = _copy(roadmap)
+    before = repr(roadmap)
+    solve(instance_from_scenario(roadmap, radius, gen_scenario(roadmap, 10, seed=0)))
+    assert roadmap.goal_hops and not copy.goal_hops
+    assert roadmap == copy and hash(roadmap) == hash(copy)
+    assert repr(roadmap) == before == repr(copy)
+
+
 def test_an_unreferenced_roadmap_is_freed_without_the_cyclic_collector():
     roadmap, radius = gen_preset("dense-like", 1)
     scen = gen_scenario(roadmap, 6, seed=1)
@@ -133,7 +167,7 @@ def test_an_unreferenced_roadmap_is_freed_without_the_cyclic_collector():
             inst = instance_from_scenario(roadmap, r, scen)
             assert solve(inst).status == "solved"
         validate_roadmap(instance_from_scenario(roadmap, 0.2, scen))
-        assert len(roadmap.interference_tables) == 2
+        assert len(roadmap.interference_tables) == 2 and roadmap.goal_hops
         alive = weakref.ref(roadmap)
         del roadmap, inst
         assert alive() is None

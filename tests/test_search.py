@@ -4,17 +4,23 @@ The solver finds push targets and paths with a forward BFS grown a layer at
 a time on demand (``_Search``), one per view.  These tests hold it to the
 search it replaced: a full BFS ranking every vertex by ``(hops, id)`` and, per
 target, a fresh reverse BFS from the target followed by a greedy walk over
-sorted adjacency.  Reference copies of both live here only.
+sorted adjacency.  Reference copies of both live here only.  The outer
+loop's ``lex_shortest_path`` prunes its search with the roadmap's hop
+distances to the goal and runs ``_Search`` only when that misses; it is held
+to the same reference, and its fallback to the cases that need it.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
-from mapfla.model import Instance, make_roadmap
+from mapfla import solver
+from mapfla.model import Instance, InterferenceCache, make_roadmap
 from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
 
 
@@ -72,7 +78,7 @@ def searches(draw, max_vertices: int = 12):
     blocked = frozenset(draw(st.sets(st.integers(0, n - 1))))
     src = draw(st.integers(0, n - 1))
     roadmap = make_roadmap([(3.0 * i, 0.0) for i in range(n)], edges)
-    return GraphView(roadmap).without(masked), src, blocked
+    return GraphView(roadmap, InterferenceCache(roadmap, 1.0)).without(masked), src, blocked
 
 
 @settings(max_examples=300, deadline=None)
@@ -121,6 +127,72 @@ def test_unreachable_target_gives_none(search):
     for dst in range(view.roadmap.n_vertices):
         if dst not in reachable:
             assert lex_shortest_path(view, src, dst, blocked) is None
+
+
+def searched(view, src, dst, blocked):
+    """``lex_shortest_path``'s answer, and whether it ran the full search."""
+    made = []
+
+    class Counted(_Search):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    with mock.patch.object(solver, "_Search", Counted):
+        path = lex_shortest_path(view, src, dst, blocked)
+    return path, bool(made)
+
+
+def roadmap_hops(view, src, dst):
+    """Hops from ``src`` to ``dst`` on the whole roadmap, None if unreachable."""
+    return ref_bfs_dists(GraphView(view.roadmap, view.bands), dst, frozenset()).get(src)
+
+
+@settings(max_examples=300, deadline=None)
+@given(searches(), st.integers(0, 11))
+def test_pruned_search_falls_back_only_without_a_path_of_roadmap_length(search, dst):
+    view, src, blocked = search
+    dst %= view.roadmap.n_vertices
+    want = ref_lex_shortest_path(view, src, dst, blocked)
+    got, fell_back = searched(view, src, dst, blocked)
+    assert got == want
+    hops = roadmap_hops(view, src, dst)
+    # Answered without a search: off the roadmap's component, or blocked.
+    trivial = hops is None or src in blocked or dst in blocked
+    of_roadmap_length = want is not None and len(want) - 1 == hops
+    assert fell_back == (not trivial and not of_roadmap_length)
+
+
+def _two_routes():
+    """0-1-2-3 and the longer 0-4-5-6-3 to the same goal; 7 stands alone."""
+    edges = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 3)]
+    roadmap = make_roadmap([(3.0 * i, 0.0) for i in range(8)], edges)
+    return GraphView(roadmap, InterferenceCache(roadmap, 1.0))
+
+
+@pytest.mark.parametrize(
+    "src, dst, blocked, masked, want, fell_back",
+    [
+        (0, 3, (), (), [0, 1, 2, 3], False),
+        (0, 3, (1,), (), [0, 4, 5, 6, 3], True),  # a blocked vertex forces it
+        (0, 3, (), ((2, 1),), [0, 4, 5, 6, 3], True),  # a masked edge forces it
+        (0, 3, (1, 5), (), None, True),  # cut off in the view alone
+        (0, 7, (), (), None, False),  # unreachable on the roadmap
+        (0, 3, (3,), (), None, False),  # blocked goal
+        (2, 2, (), (), [2], False),
+        (2, 2, (2,), (), None, False),
+    ],
+)
+def test_pruned_search_on_two_routes(src, dst, blocked, masked, want, fell_back):
+    view = _two_routes().without(masked)
+    blocked = frozenset(blocked)
+    assert ref_lex_shortest_path(view, src, dst, blocked) == want
+    assert searched(view, src, dst, blocked) == (want, fell_back)
+
+
+def test_a_view_with_near_vertices_gets_the_full_search():
+    near = _two_routes().avoiding(7)
+    assert searched(near, 0, 3, frozenset()) == ([0, 1, 2, 3], True)
 
 
 def ref_push_off(ws, g, src, path_blocked, acceptable, push):

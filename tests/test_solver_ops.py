@@ -224,7 +224,7 @@ def test_push_through_v_from_second_neighbour_after_occupied_first():
 def naive_step(ws, u, v):
     """``ws.step`` of a naive workspace, with a halt counted as False."""
     try:
-        return ws.step(GraphView(ws.instance.roadmap), u, v)
+        return ws.step(GraphView(ws.instance.roadmap, ws.bands), u, v)
     except _NaiveHalt:
         return False
 
@@ -314,12 +314,19 @@ def test_step_is_move_la_for_la_and_halts_for_naive():
 def test_masked_edge_is_gone_whichever_way_it_was_stored():
     rm = make_roadmap([(i, 0) for i in range(4)], [(0, 1), (1, 2), (2, 3)])
     for mask in ((1, 2), (2, 1)):
-        view = GraphView(rm).without([mask])
+        view = GraphView(rm, InterferenceCache(rm, 0.25)).without([mask])
         assert view.neighbors(1) == (0,)
         assert not view.has_edge(1, 2)
         assert not view.has_edge(2, 1)
         assert view.has_edge(1, 0) and view.has_edge(2, 3)
         assert not view.has_edge(0, 2)
+
+
+def test_a_view_needs_its_table_at_construction():
+    rm = make_roadmap([(i, 0) for i in range(3)], [(0, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        GraphView(rm)
+    assert GraphView(rm, InterferenceCache(rm, 0.25)).avoiding(0).neighbors(1) == (0, 2)
 
 
 def _drawn_masks(seed):
@@ -344,7 +351,7 @@ def _drawn_masks(seed):
 def test_a_view_avoiding_vertices_equals_the_eager_mask(seed):
     rng, rm, radius, near, removed = _drawn_masks(seed)
     bands = brute_force_interference(rm, radius)
-    eager = GraphView(rm).without(removed)
+    eager = GraphView(rm, InterferenceCache(rm, radius)).without(removed)
     for v in near:
         eager = eager.without(e for e, band in bands.items() if v in band)
     # The lazy view stacks the same masks in a drawn order, as nested
@@ -392,9 +399,10 @@ def test_lex_shortest_path_prefers_smallest_ids():
     rm = make_roadmap(
         [(0, 0), (1, 1), (1, -1), (2, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
-    assert lex_shortest_path(GraphView(rm), 0, 3, frozenset()) == [0, 1, 3]
-    assert lex_shortest_path(GraphView(rm), 0, 3, frozenset({1})) == [0, 2, 3]
-    assert lex_shortest_path(GraphView(rm), 0, 3, frozenset({1, 2})) is None
+    view = GraphView(rm, InterferenceCache(rm, 0.25))
+    assert lex_shortest_path(view, 0, 3, frozenset()) == [0, 1, 3]
+    assert lex_shortest_path(view, 0, 3, frozenset({1})) == [0, 2, 3]
+    assert lex_shortest_path(view, 0, 3, frozenset({1, 2})) is None
 
 
 def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
@@ -402,7 +410,8 @@ def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
     rm = make_roadmap(
         [(i, 0) for i in range(6)], [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
     )
-    assert lex_shortest_path(GraphView(rm), 0, 5, frozenset()) == [0, 1, 4, 5]
+    view = GraphView(rm, InterferenceCache(rm, 0.25))
+    assert lex_shortest_path(view, 0, 5, frozenset()) == [0, 1, 4, 5]
 
 
 # -- fuzzed contracts (smoke scale; acceptance runs these big) --------------------
