@@ -1,17 +1,21 @@
-"""Exhaustive joint-state breadth-first search for toy instances.
+"""Exhaustive joint-state A* search for toy instances.
 
-Ground truth for solvability and for minimal plan lengths: the search expands
-the full product state space under the same transition semantics the
+Ground truth for solvability and for minimal plan lengths: the search runs
+over the full product state space under the same transition semantics the
 validator enforces, so it is complete (within its node budget) where the
-solver is not.  It expands up to ``|V|^K`` states; on a shared 2-core host
-(Python 3.11) a 12-vertex 3-agent toy takes 2 ms on average, 5 agents on 16
-vertices 1.4 s (at most 3.5 s over 60 toys) and 2 agents on 200 vertices 0.1 s.
+solver is not.  It is an A* search (Hart, Nilsson & Raphael, 1968) guided by
+the sum of the agents' hop distances to their goals, the admissible MAPF
+heuristic Standley (AAAI 2010) builds on; an unsolvable instance still costs
+the whole reachable component, up to ``|V|^K`` states.  On a shared 2-core
+host (Python 3.11) with the goals' hop arrays already on the roadmap, a
+12-vertex 3-agent toy takes 0.4 ms on average, 5 agents on 16 vertices 7 ms
+and 7 agents on 16 vertices 0.1 s.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .model import Instance, Move, Plan, assignment_issues
 from .validator import EdgeBands
@@ -29,15 +33,25 @@ class OracleResult:
 
 
 def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleResult:
-    """Breadth-first search over joint states.
+    """A* search over joint states.  It replaced a breadth-first search and
+    keeps its name, which ``perfbench`` calls and traces.
 
     Returns a move-count-minimal plan when the goal is reachable, reports
     ``unsolvable`` only after the whole reachable component was enumerated,
-    and ``budget_exceeded`` when the expansion budget ran out first.
-    Successors are generated agents-by-id then neighbours-by-id, so plans
-    are canonical.  A malformed start/goal assignment, or an edge that is a
-    self-loop, a duplicate or has an endpoint outside ``0..|V|-1``, raises
-    ``ValueError``.
+    and ``budget_exceeded`` when the expansion budget ran out first;
+    ``expanded`` counts the states whose successors were generated.  A
+    malformed start/goal assignment, or an edge that is a self-loop, a
+    duplicate or has an endpoint outside ``0..|V|-1``, raises ``ValueError``.
+
+    The heuristic is ``h = sum(roadmap.hops_to(goals[i])[pos[i]])``, read
+    from the hop arrays the roadmap keeps (a solve on the same roadmap has
+    usually filled them).  A move shifts one agent by one edge, so ``h`` is
+    consistent: each state is expanded at most once, the goal is tested when
+    a state leaves the heap, and entries left behind by a shorter path are
+    skipped.  Heap entries are ``(g + h, -g, state)``, so ties on ``g + h``
+    go deepest first and then to the smaller state, and plans are
+    canonical.  An agent whose goal is in another component adds ``|V|`` to
+    every state alike.
 
     A joint state is the integer ``sum(pos[i] * |V|**i)``.  Moving from ``u``
     to ``w`` is legal iff the state's occupied-vertex bits miss the edge's
@@ -54,37 +68,44 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     if start == goal:
         return OracleResult(SOLVED, [], expanded=0)
 
+    hops = [instance.roadmap.hops_to(v) for v in instance.goals]
     adjacency = instance.roadmap.adjacency
     bands = EdgeBands(instance)
     moves: list[list[tuple[int, int]] | None] = [None] * n
     parents: dict[int, int | None] = {start: None}
-    queue: deque[int] = deque([start])
+    depth = {start: 0}
+    heap = [(sum(h[v] for h, v in zip(hops, instance.starts)), 0, start)]
     expanded = 0
-    while queue:
+    while heap:
+        f, minus_g, current = heappop(heap)
+        if -minus_g > depth[current]:
+            continue  # stale: the state was reached by a shorter path since
+        if current == goal:
+            return OracleResult(SOLVED, _backtrack(parents, current, n, k), expanded)
         if expanded >= node_budget:
             return OracleResult(BUDGET_EXCEEDED, None, expanded)
-        current = queue.popleft()
         expanded += 1
         positions = _decode(current, n, k)
         occupied = 0
         for u in positions:
             occupied |= 1 << u
-        for u, step in zip(positions, steps):
+        g = 1 - minus_g  # the successors' depth
+        for u, step, to_goal in zip(positions, steps, hops):
             out = moves[u]
             if out is None:
                 out = moves[u] = [
                     (w, sum(1 << v for v in bands(u, w)) | 1 << w) for w in adjacency[u]
                 ]
+            base = f + 1 - to_goal[u]
             for w, mask in out:
                 if occupied & mask:
                     continue
                 nxt = current + (w - u) * step
-                if nxt in parents:
+                if depth.get(nxt, g + 1) <= g:  # as short a path is known
                     continue
+                depth[nxt] = g
                 parents[nxt] = current
-                if nxt == goal:
-                    return OracleResult(SOLVED, _backtrack(parents, nxt, n, k), expanded)
-                queue.append(nxt)
+                heappush(heap, (base + to_goal[w], -g, nxt))
     return OracleResult(UNSOLVABLE, None, expanded)
 
 
