@@ -9,7 +9,9 @@ computed, and each goal's hop distances (:meth:`Roadmap.hops_to`) for the
 solver's outer-loop path search.  Its band test and the separation check of
 :func:`validate_roadmap` share one sort of the vertices by x per roadmap
 (:attr:`Roadmap.x_order`).  The lines of that check that depend only on the
-roadmap and the radius are cached on the roadmap too.  The edge list check
+roadmap and the radius are cached on the roadmap too, and so is the plan
+validator's own band table per radius (:attr:`Roadmap.edge_bands`).  The
+radius check (:func:`radius_issues`), the edge list check
 (:attr:`Roadmap.edge_issues`) and the start/goal assignment check
 (:func:`assignment_issues`) serve roadmap validation, the plan validator and
 the oracle.
@@ -30,9 +32,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
+
+if TYPE_CHECKING:
+    from .validator import EdgeBands
 
 Edge = tuple[int, int]
 
@@ -51,8 +56,8 @@ class Roadmap:
     structures below assume a roadmap that passed validation.  Each is
     computed once and kept; none refers back to the roadmap, so an unused
     roadmap is freed at once, without the cyclic collector.  The caches
-    filled by solves (``interference_tables`` and ``goal_hops``) are left
-    out of ``__init__``, ``repr`` and ``==``.
+    filled by solves and validations (``interference_tables``, ``goal_hops``
+    and ``edge_bands``) are left out of ``__init__``, ``repr`` and ``==``.
     """
 
     points: tuple[Point2D, ...]
@@ -64,6 +69,11 @@ class Roadmap:
     )
     # Per goal vertex, the hop distances of ``hops_to``.
     goal_hops: dict[int, array] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # The plan validator's own band table (``validator.EdgeBands``) per agent
+    # radius, added by the first validation at that radius.
+    edge_bands: dict[float, EdgeBands] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     _separation_lines: dict[tuple[type, float], tuple[str, ...]] = field(
@@ -299,18 +309,23 @@ def validate_roadmap(instance: Instance) -> InstanceReport:
     Only the radius and assignment lines are built on every call; the
     roadmap keeps the others.
     """
-    issues: list[str] = []
     rm = instance.roadmap
     r = instance.radius
-
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0):
-        issues.append(f"agent radius must be a positive finite number, got {r!r}")
+    issues = radius_issues(r)
+    radius_ok = not issues
     issues += rm.vertex_issues
     issues += rm.edge_issues
-    if math.isfinite(r) and r > 0:
+    if radius_ok:
         issues += rm.separation_issues(r)
     issues += assignment_issues(instance)
     return InstanceReport(ok=not issues, issues=tuple(issues))
+
+
+def radius_issues(radius: float) -> list[str]:
+    """One line if ``radius`` is not a positive finite number, else none."""
+    if isinstance(radius, (int, float)) and math.isfinite(radius) and radius > 0:
+        return []
+    return [f"agent radius must be a positive finite number, got {radius!r}"]
 
 
 def assignment_issues(instance: Instance) -> list[str]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .model import Instance, Move, Plan, assignment_issues
-from .validator import EdgeBands
+from .model import Instance, Move, Plan
+from .validator import edge_bands, instance_issues
 
 SOLVED = "solved"
 UNSOLVABLE = "unsolvable"
@@ -40,8 +40,9 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     ``unsolvable`` only after the whole reachable component was enumerated,
     and ``budget_exceeded`` when the expansion budget ran out first;
     ``expanded`` counts the states whose successors were generated.  A
-    malformed start/goal assignment, or an edge that is a self-loop, a
-    duplicate or has an endpoint outside ``0..|V|-1``, raises ``ValueError``.
+    radius that is not positive and finite, a malformed start/goal
+    assignment, or an edge that is a self-loop, a duplicate or has an
+    endpoint outside ``0..|V|-1``, raises ``ValueError``.
 
     The heuristic is ``h = sum(roadmap.hops_to(goals[i])[pos[i]])``, read
     from the hop arrays the roadmap keeps (a solve on the same roadmap has
@@ -56,9 +57,11 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     A joint state is the integer ``sum(pos[i] * |V|**i)``.  Moving from ``u``
     to ``w`` is legal iff the state's occupied-vertex bits miss the edge's
     mask: bit ``w`` and its band's bits, built when a state first has an
-    agent on ``u``.
+    agent on ``u``.  The bands come from the validator's table, which the
+    roadmap keeps per radius, so the oracle shares it with every validation
+    on the same ``Roadmap``.
     """
-    issues = [*instance.roadmap.edge_issues, *assignment_issues(instance)]
+    issues = instance_issues(instance)
     if issues:
         raise ValueError(f"invalid instance: {issues[0]}")
     n, k = instance.roadmap.n_vertices, len(instance.starts)
@@ -70,7 +73,7 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
 
     hops = [instance.roadmap.hops_to(v) for v in instance.goals]
     adjacency = instance.roadmap.adjacency
-    bands = EdgeBands(instance)
+    bands = edge_bands(instance)
     moves: list[list[tuple[int, int]] | None] = [None] * n
     parents: dict[int, int | None] = {start: None}
     depth = {start: 0}

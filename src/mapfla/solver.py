@@ -7,7 +7,10 @@ afterwards walked back.  The machinery here realizes every single-edge
 traversal through ``move_la``, which:
 
 1. clears each occupied interfering vertex of the edge, recording the moves
-   needed to undo the clearing (``reversable_edge_cleaning``):
+   needed to undo the clearing (``reversable_edge_cleaning``).  A free band
+   costs one checked move: ``move_la`` tries the traversal first and clears
+   only when that fails, so most traversals on a sparse roadmap never reach
+   the clearing stack:
 
    * ``push_to_empty`` walks the interferer (and any agents in its way, as a
      chain) to an empty non-interfering vertex, avoiding both edge endpoints
@@ -405,6 +408,8 @@ class Workspace:
         agent = self.at.get(v_from)
         if agent is None or v_to in self.at:
             return False
+        if self.try_move(agent, v_from, v_to):
+            return True  # nothing in the band: the clearing would move no one
         entry = self.mark()
         rev = self.reversable_edge_cleaning(view, v_from, v_to, depth)
         if rev is None:

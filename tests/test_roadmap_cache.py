@@ -1,7 +1,8 @@
 """A roadmap keeps its interference table per radius, its hop distances per
-goal and its roadmap-only validation lines: solves that share a ``Roadmap``
-object must give the plans that fresh copies give, count only the bands and
-hop tables they add, and leave nothing that keeps a dropped roadmap alive."""
+goal, the plan validator's band table per radius and its roadmap-only
+validation lines: solves that share a ``Roadmap`` object must give the plans
+that fresh copies give, count only the bands and hop tables they add, and
+leave nothing that keeps a dropped roadmap alive."""
 
 from __future__ import annotations
 
@@ -14,8 +15,11 @@ import pytest
 
 from helpers import plan_digest, toy_instance
 from mapfla.harness import gen_preset, gen_scenario, instance_from_scenario
+from mapfla import validator
 from mapfla.model import Instance, Roadmap, make_roadmap, validate_roadmap
+from mapfla.oracle import SOLVED, joint_bfs_solve
 from mapfla.solver import SolverConfig, solve
+from mapfla.validator import validate_plan
 
 MODES = ("la", "naive")
 
@@ -167,12 +171,65 @@ def test_an_unreferenced_roadmap_is_freed_without_the_cyclic_collector():
             inst = instance_from_scenario(roadmap, r, scen)
             assert solve(inst).status == "solved"
         validate_roadmap(instance_from_scenario(roadmap, 0.2, scen))
+        assert validate_plan(inst, solve(inst).plan).ok
+        assert joint_bfs_solve(instance_from_scenario(roadmap, 0.3, scen, 2)).status == SOLVED
         assert len(roadmap.interference_tables) == 2 and roadmap.goal_hops
+        assert sorted(roadmap.edge_bands) == [0.3]
         alive = weakref.ref(roadmap)
         del roadmap, inst
         assert alive() is None
     finally:
         gc.enable()
+
+
+def _count_segdist(monkeypatch) -> list[None]:
+    calls = []
+    original = validator.segdist
+
+    def spy(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(validator, "segdist", spy)
+    return calls
+
+
+def test_the_validators_band_table_is_kept_per_radius(monkeypatch):
+    roadmap, radius = gen_preset("sparse-like", 0)
+    scen = gen_scenario(roadmap, 40, seed=0)
+    inst = instance_from_scenario(roadmap, radius, scen, 30)
+    plan = solve(inst).plan
+    assert roadmap.edge_bands == {}  # the solver never fills it
+    assert validate_plan(inst, plan).ok
+    table = roadmap.edge_bands[radius]
+    held = len(table)
+    assert held > 0
+    tests = _count_segdist(monkeypatch)
+    assert validate_plan(inst, plan).ok
+    assert validate_plan(instance_from_scenario(roadmap, radius, scen, 30), plan).ok
+    assert (roadmap.edge_bands[radius], len(table), tests) == (table, held, [])
+    # Another radius gets its own table, and a fresh copy gives the same report.
+    small = instance_from_scenario(roadmap, 0.3, scen, 30)
+    assert validate_plan(small, plan) == validate_plan(replace(small, roadmap=_copy(roadmap)), plan)
+    assert tests and sorted(roadmap.edge_bands) == [0.3, radius]
+    assert roadmap.edge_bands[0.3] is not table and len(table) == held
+
+
+def test_the_validator_and_the_oracle_share_a_table_and_leave_the_solvers_alone():
+    grown = 0
+    for seed in range(20):
+        inst = toy_instance(seed, 12, 3)
+        roadmap = inst.roadmap
+        validate_plan(inst, [])
+        table = roadmap.edge_bands[inst.radius]
+        held = len(table)
+        result = joint_bfs_solve(inst)
+        grown += len(table) > held
+        if result.status == SOLVED:
+            assert validate_plan(inst, result.plan).ok
+        assert roadmap.edge_bands == {inst.radius: table}
+        assert roadmap.interference_tables == {}
+    assert grown > 10
 
 
 def _flawed_roadmap() -> Roadmap:

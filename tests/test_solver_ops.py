@@ -81,6 +81,34 @@ def test_move_la_case3_fails_transactionally_and_counts():
     assert (tuple(ws.pos), ws.plan) == before
 
 
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(Workspace, name)
+
+    def spy(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Workspace, name, spy)
+    return calls
+
+
+def test_move_la_with_a_free_band_makes_one_checked_move(monkeypatch):
+    cleanings = _count_calls(monkeypatch, "reversable_edge_cleaning")
+    checked = _count_calls(monkeypatch, "try_move")
+    inst = corridor_path_instance()
+    ws, base = make_ws(inst)
+    assert ws.move_la(base, 4, 5)
+    assert ws.plan == [Move(2, 4, 5)]
+    assert (len(checked), cleanings) == (1, [])
+    assert (ws.stats.move_la_calls, ws.stats.case3_failures) == (1, 0)
+    # An occupied band still goes through the clearing, once.
+    inst = chain_clear_instance()
+    ws, base = make_ws(inst)
+    assert ws.move_la(base, 0, 1)
+    assert len(cleanings) == 1 and len(ws.plan) == 5
+
+
 def test_move_la_rejects_occupied_target_and_missing_edge():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)

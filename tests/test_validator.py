@@ -140,7 +140,8 @@ def test_validator_is_independent_of_the_solver():
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     assert not names & {
-        "solver", "InterferenceCache", "interference_table", "_band_test"
+        "solver", "InterferenceCache", "interference_table", "interference_tables",
+        "_band_test",
     }
 
 
@@ -164,6 +165,26 @@ def test_two_agents_on_one_vertex_is_an_invalid_instance():
 def test_start_goal_count_mismatch_is_an_invalid_instance():
     _assert_invalid_instance(validate_plan(line_instance((0, 1), (0,), n=3), []))
     _assert_invalid_instance(validate_plan(line_instance((0,), (0, 1), n=3), []))
+
+
+@pytest.mark.parametrize("r", [math.nan, -1.0, 0.0, 0, math.inf, "0.5"])
+def test_a_radius_that_is_not_positive_and_finite_is_an_invalid_instance(r):
+    # Vertex 2 lies 0.1 from edge (0, 1), so any positive radius blocks the move.
+    rm = make_roadmap([(0, 0), (1, 0), (0.5, 0.1), (2, 0)], [(0, 1), (1, 3), (2, 1)])
+    inst = Instance(roadmap=rm, radius=r, starts=(0, 2), goals=(1, 2))
+    line = f"agent radius must be a positive finite number, got {r!r}"
+    assert validate_roadmap(inst).issues[0] == line
+    report = validate_plan(inst, [Move(0, 0, 1)])
+    assert report == PlanReport(ok=False, failed_index=0, reason=f"invalid instance: {line}")
+    assert not is_valid_transition(State(inst.starts), Move(0, 0, 1), inst)
+    with pytest.raises(ValueError) as raised:
+        joint_bfs_solve(inst)
+    assert str(raised.value) == f"invalid instance: {line}"
+    assert rm.edge_bands == {}  # a NaN key would add a table per call
+    inst = Instance(roadmap=rm, radius=0.3, starts=(0, 2), goals=(1, 2))
+    assert validate_plan(inst, [Move(0, 0, 1)]).reason == (
+        "move 0: agent 1 at vertex 2 is within 2r of edge (0, 1)"
+    )
 
 
 @pytest.mark.parametrize("edge", [(0, -1), (-1, 0), (0, 4), (7, 7)])
