@@ -97,7 +97,7 @@ def cmd_validate(args) -> int:
     if report.ok:
         print("valid")
         return EXIT_OK
-    print(f"invalid at move {report.failed_index}: {report.reason}")
+    print(f"invalid: {report.reason}")
     return EXIT_FAILED
 
 

@@ -333,18 +333,20 @@ def _set_worker_roadmaps(roadmaps: Mapping[str, tuple[Roadmap, float]]) -> None:
 
 def _run_one(task, roadmaps: Mapping | None = None) -> tuple[str, float]:
     """Solve and check one task on its roadmap, looked up by name in
-    ``roadmaps``, or in the worker's roadmaps when run in a pool."""
-    name, scenario, n, mode, time_limit = task
+    ``roadmaps``, or in the worker's roadmaps when run in a pool.  Raises
+    :class:`BenchSoundnessError` when a solved plan fails validation."""
+    name, si, scenario, n, mode, time_limit = task
     roadmap, radius = (_worker_roadmaps if roadmaps is None else roadmaps)[name]
     instance = instance_from_scenario(roadmap, radius, scenario, n)
     config = SolverConfig(mode=mode, time_limit=time_limit)
     started = time.perf_counter()
     result = solve(instance, config)
     elapsed_ms = (time.perf_counter() - started) * 1e3
-    if result.status == SOLVED:
-        report = validate_plan(instance, result.plan)
-        if not report.ok:
-            return "invalid", elapsed_ms
+    if result.status == SOLVED and not validate_plan(instance, result.plan).ok:
+        raise BenchSoundnessError(
+            f"solver bug: plan for roadmap={name} mode={mode} n={n} "
+            f"scenario={si} failed independent validation"
+        )
     return result.status, elapsed_ms
 
 
@@ -376,7 +378,6 @@ def run_bench(
         if mode not in (LA, NAIVE):
             raise ValueError(f"unknown mode {mode!r}")
     tasks = []
-    task_keys = []
     for name in sorted(roadmaps):
         if not scenarios[name]:
             raise ValueError(f"roadmap {name!r} has no scenarios")
@@ -386,8 +387,7 @@ def run_bench(
         for mode in modes:
             for n in n_values:
                 for si, scenario in enumerate(scenarios[name]):
-                    tasks.append((name, scenario, n, mode, time_limit))
-                    task_keys.append((name, mode, n, si))
+                    tasks.append((name, si, scenario, n, mode, time_limit))
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -399,24 +399,13 @@ def run_bench(
             results = list(pool.map(_run_one, tasks, chunksize=1))
     else:
         results = [_run_one(task, roadmaps) for task in tasks]
-    outcomes = dict(zip(task_keys, results))
 
-    for key, (status, _) in outcomes.items():
-        if status == "invalid":
-            name, mode, n, si = key
-            raise BenchSoundnessError(
-                f"solver bug: plan for roadmap={name} mode={mode} n={n} "
-                f"scenario={si} failed independent validation"
-            )
-
+    outcomes = iter(results)  # in task order
     rows = []
     for name in sorted(roadmaps):
         for mode in modes:
             for n in n_values:
-                cell = [
-                    outcomes[(name, mode, n, si)]
-                    for si in range(len(scenarios[name]))
-                ]
+                cell = [next(outcomes) for _ in scenarios[name]]
                 counts = Counter(s for s, _ in cell)
                 total = len(cell)
                 rows.append(

@@ -104,12 +104,15 @@ def render_frame(
 def render_plan(instance: Instance, plan: Plan, out_dir: str | Path) -> list[Path]:
     """Write ``len(plan) + 1`` frames to ``out_dir``; returns the paths.
 
-    Raises ``ValueError``, before writing anything, if a move does not start
-    at its agent's vertex, ends on an occupied one or does not follow a
-    roadmap edge."""
+    Raises ``ValueError`` naming the move's index, before writing anything,
+    if a move names no agent, does not start at its agent's vertex, ends on
+    an occupied one or does not follow a roadmap edge."""
     states = [State(instance.starts)]
     for i, m in enumerate(plan):
-        states.append(apply_move(states[-1], m))
+        try:
+            states.append(apply_move(states[-1], m))
+        except ValueError as err:
+            raise ValueError(f"move {i}: {err}") from None
         if edge_key(m.src, m.dst) not in instance.roadmap.edge_set:
             raise ValueError(f"move {i}: ({m.src}, {m.dst}) is not a roadmap edge")
     out = Path(out_dir)

@@ -1,91 +1,58 @@
 """Solver for pathfinding with large disk agents on embedded roadmaps.
 
 An agent traversing an edge collides with any stationary agent whose vertex
-lies within ``2r`` of the swept segment, so ordinary pebble-motion planning is
-not enough: before a traversal, nearby agents may have to be walked away and
-afterwards walked back.  The machinery here realizes every single-edge
-traversal through ``move_la``, which:
+lies within ``2r`` of the swept segment, so every ``la`` traversal runs
+through ``Workspace.move_la`` and ``naive`` mode is the baseline without
+it.  Interference that can be escaped only through the traversal's target
+vertex cannot be undone: it is counted as a case-3 failure, and the solver
+is deliberately incomplete there.  The invariants below are the ones the
+code does not show.
 
-1. clears each occupied interfering vertex of the edge, recording the moves
-   needed to undo the clearing (``reversable_edge_cleaning``).  A free band
-   costs one checked move: ``move_la`` tries the traversal first and clears
-   only when that fails, so most traversals on a sparse roadmap never reach
-   the clearing stack:
+One workspace per solve.  ``solve`` builds one :class:`Workspace` and
+starts every ordering with ``rollback(0)``, the exact undo every failure
+uses, so each ordering starts from the instance's starts and ``ws.stats``
+counts the whole call.  Every move goes through ``try_move``, which checks
+the full transition, so a returned plan is valid by construction.
 
-   * ``push_to_empty`` walks the interferer (and any agents in its way, as a
-     chain) to an empty non-interfering vertex, avoiding both edge endpoints
-     and every edge the target endpoint interferes with, so the recorded
-     moves stay replayable after the traversal;
-   * when that fails because the only escape runs through the mover's own
-     vertex, ``push_through_v_from`` first sidesteps the mover to a
-     neighbouring vertex, lets the interferer escape through the vacated
-     vertex, then walks the mover back;
+Lex paths come from first discoverers.  A search (``_Search``) is a forward
+BFS over sorted adjacency with a FIFO queue, so each vertex's first
+discoverer is its parent on its lexicographically smallest shortest path,
+whatever the search's extent: one search of a view answers every path in it,
+as a fresh reverse BFS from each target plus a greedy walk would.
 
-2. performs the traversal;
-3. replays the recorded moves in reverse, restoring every other agent.
-
-Interference that is escapable only through the traversal's target vertex (or
-edges that vertex interferes with) cannot be undone this way; such cases are
-detected, counted, and reported as failure; the solver is deliberately
-incomplete there.
-
-The outer loop is a prioritized push-style pebble planner: agents walk
-shortest paths to their goals one at a time, shoving blocking agents into
-empty vertices (each shove itself made of ``move_la`` traversals), locking
-finished agents in place, and, as a last resort, displacing locked agents
-and re-planning them afterwards.  Agent order matters; ``random-restarts``
-retries failed instances under shuffled orders.  ``naive`` mode is the same
-loop with a plain single-edge step (``Workspace.step``) in place of
-``move_la``: it clears no interference, and a blocked traversal halts the
-attempt.  It is the baseline the benchmark harness compares against.
-
-Neither loop of the outer planner has a cap: each is deterministic in a
-finite state and stops when that state repeats.  A round of ``_plan_agent``
-is fixed by the positions and the banned edges (``locked`` and the pass are
-fixed); a round that starts from an earlier round's pair rolls the plan back
-to where that round started, dropping the cycle's moves (they have no net
-effect), and ends the pass.  ``_solve_single_order``'s queue loop is fixed by
-the positions, the queue and the order of ``locked``, which orders the
-re-queues.  Every cycle re-queues, and the queue only shrinks in between, so
-the loop records that triple after each re-queue and fails on a repeat.
-
-Every push needs the nearest empty vertex and a lexicographically smallest
-shortest path to it.  Both come from forward BFS searches from the pushed
-vertex (``_Search``), grown a hop layer at a time and only as far as asked;
-targets come out by ``(hops, id)``.  The adjacency is sorted and the queue is
-FIFO, so each vertex's first discoverer is its parent on its lexicographically
-smallest shortest path, whatever the search's extent: one search of a view
-answers every path in it, as a fresh reverse BFS from each target plus a
-greedy walk would.
-
-The outer loop replans each agent's path toward its goal many times a solve
-(``lex_shortest_path``), so that search is pruned.  The roadmap keeps each
-goal's hop distances from every vertex (``Roadmap.hops_to``), computed by
-one BFS the first time any solve searches toward that goal.  A roadmap hop
-distance is a lower bound in every view, so a search that must reach the
-goal in D = h(src) hops keeps a vertex found at hop k only if h <= D - k:
-the vertices of every shortest path, and hence their first discoverers,
+Pruning.  The outer loop replans each agent's path toward its goal many
+times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
+distances h from every vertex (``Roadmap.hops_to``).  A roadmap hop distance
+is a lower bound in every view, so a search that must reach the goal in
+D = h(src) hops keeps a vertex found at hop k only if h <= D - k: the
+vertices of every shortest path, and hence their first discoverers,
 survive, and the path is the one the full search gives.  When locked agents
 or banned edges make every path longer than D, the pruned search misses the
-goal and the full ``_Search`` runs instead.  D is tried once and never
-raised a hop at a time: locked agents force detours many hops long, and a
-search per hop costs far more than one full search.
+goal and the full ``_Search`` runs instead.  D is never raised a hop at a
+time: locked agents force detours many hops long, and a search per hop
+costs far more than one full search.  The pruned search reads the roadmap's
+adjacency and the view's removed edges only, so its view must hold no
+``near`` vertices; the outer loop's views never do.
 
-Every move the solver emits is legality-checked at application time, so a
-returned plan is valid by construction; failures roll the working state back
-transactionally.
+Termination.  Neither loop of the outer planner has a cap: each is
+deterministic in a finite state and stops when that state repeats.  A round
+of ``_plan_agent`` is fixed by the positions and the banned edges
+(``locked`` and the pass are fixed); a round that starts from an earlier
+round's pair rolls the plan back to where that round started, dropping the
+cycle's moves (they have no net effect), and ends the pass.
+``_solve_single_order``'s queue loop is fixed by the positions, the queue
+and the order of ``locked``, which orders the re-queues.  Every cycle
+re-queues, and the queue only shrinks in between, so the loop records that
+triple after each re-queue and fails on a repeat.
 
-The interference relation is read from a table that the roadmap keeps per
-agent radius (``Roadmap.interference_tables``), so every solve on the same
-``Roadmap`` object shares it.  It is filled during the searches: an edge's
-band the first time a move or a search asks for it.  A push that must avoid
-the edges near the traversal target masks them in its view
-(``GraphView.near``), which tests an edge's band only when the push's
-search reaches the edge, so a small solve on a fresh dense roadmap computes
-a few percent of the bands.  The chain's own traversals run over that view,
-so ``near`` holds the targets of every enclosing traversal.  The time limit
-covers this work as it covers validation, whose roadmap-only lines the
-roadmap keeps as well.
+Table lifetime.  The interference table lives on the roadmap, one per agent
+radius (``Roadmap.interference_tables``), so every solve on the same
+``Roadmap`` object shares it.  A band is computed the first time a move or a
+search reaches its edge: a push's view masks the edges near a traversal
+target (``GraphView.near``) only as its search reaches them, so a small
+solve on a fresh dense roadmap computes a few percent of the bands.  The
+time limit covers this work as it covers validation, whose roadmap-only
+lines the roadmap keeps as well.
 """
 
 from __future__ import annotations
@@ -281,13 +248,11 @@ def lex_shortest_path(
     view: GraphView, src: int, dst: int, blocked: frozenset[int]
 ) -> list[int] | None:
     """The path :meth:`_Search.path` gives, found first by a search pruned
-    with the roadmap's hop distances to ``dst`` (see the module docstring).
-    That search reads the roadmap's adjacency and the view's masked edges
-    directly, so a view with ``near`` vertices, and a path longer than the
-    roadmap's hop distance, get the full :class:`_Search`.
+    with the roadmap's hop distances to ``dst`` (see the module docstring);
+    a path longer than the roadmap's hop distance gets the full
+    :class:`_Search`.  ``view`` must hold no ``near`` vertices: the pruned
+    search reads the roadmap's adjacency and the view's removed edges only.
     """
-    if view.near:
-        return _Search(view, src, blocked).path(dst)
     hops = view.roadmap.hops_to(dst)
     if hops[src] == len(hops) or src in blocked or dst in blocked:
         return None
@@ -315,23 +280,24 @@ class Workspace:
     transition legality (edge exists, mover present, target free, no occupied
     interfering vertex), so whatever ends up in ``plan`` is valid from the
     instance start.  ``mark``/``rollback`` give exact transactional undo.
-    ``bands`` is an :class:`InterferenceCache`, read by indexing alone: a
-    miss computes the band, and a non-edge gives None.  The solve's base view
-    holds it too, and every view derived from it reads it edge by edge.
+    ``bands`` is the roadmap's :class:`InterferenceCache` for the instance's
+    radius, created here on the first workspace at that radius and read by
+    indexing alone: a miss computes the band, and a non-edge gives None.
+    The solve's base view holds it too, and every view derived from it reads
+    it edge by edge.
     """
 
     def __init__(
-        self,
-        instance: Instance,
-        bands: InterferenceCache | None = None,
-        *,
-        mode: str = LA,
-        deadline: float | None = None,
+        self, instance: Instance, *, mode: str = LA, deadline: float | None = None
     ):
         self.instance = instance
-        self.bands = bands if bands is not None else InterferenceCache(
-            instance.roadmap, instance.radius
-        )
+        tables = instance.roadmap.interference_tables
+        bands = tables.get(instance.radius)
+        if bands is None:
+            bands = tables[instance.radius] = InterferenceCache(
+                instance.roadmap, instance.radius
+            )
+        self.bands = bands
         self.mode = mode
         self.deadline = deadline
         self.pos: list[int] = list(instance.starts)
@@ -629,48 +595,39 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     t0 = time.monotonic()
     deadline = t0 + config.time_limit
     check_instance(instance)
-    tables = instance.roadmap.interference_tables
-    bands = tables.get(instance.radius)
-    if bands is None:
-        bands = tables[instance.radius] = InterferenceCache(
-            instance.roadmap, instance.radius
-        )
-    held = len(bands)
-    goal_hops = instance.roadmap.goal_hops
-    hops_held = len(goal_hops)
-    total = SolveStats()
+    ws = Workspace(instance, mode=config.mode, deadline=deadline)
+    stats, bands, goal_hops = ws.stats, ws.bands, instance.roadmap.goal_hops
+    held, hops_held = len(bands), len(goal_hops)
 
     def finish(status: str, plan: Plan | None) -> SolveResult:
-        total.elapsed = time.monotonic() - t0
-        total.moves = len(plan) if plan is not None else 0
-        total.bands_computed = len(bands) - held
-        total.hop_tables_computed = len(goal_hops) - hops_held
+        stats.elapsed = time.monotonic() - t0
+        stats.moves = len(plan) if plan is not None else 0
+        stats.bands_computed = len(bands) - held
+        stats.hop_tables_computed = len(goal_hops) - hops_held
         log.info(
             "solve: %s after %d attempt(s), %.1f ms, %d move-la calls, "
             "%d goal hop tables computed, "
             "%d edge bands held from earlier solves, %d of %d edge bands computed",
             status,
-            total.attempts,
-            total.elapsed * 1e3,
-            total.move_la_calls,
-            total.hop_tables_computed,
+            stats.attempts,
+            stats.elapsed * 1e3,
+            stats.move_la_calls,
+            stats.hop_tables_computed,
             held,
-            total.bands_computed,
+            stats.bands_computed,
             instance.roadmap.n_edges,
         )
-        return SolveResult(status, plan, total)
+        return SolveResult(status, plan, stats)
 
     for order in _orderings(config, instance.n_agents):
-        ws = Workspace(instance, bands, mode=config.mode, deadline=deadline)
-        total.attempts += 1
+        ws.rollback(0)
+        stats.attempts += 1
         try:
             ok: bool | None = _solve_single_order(ws, order)
         except _NaiveHalt:
             ok = False
         except _TimeUp:
             ok = None
-        total.move_la_calls += ws.stats.move_la_calls
-        total.case3_failures += ws.stats.case3_failures
         if ok is None:
             return finish(TIMEOUT, None)
         if ok:

@@ -184,6 +184,39 @@ def test_validate_detects_broken_plan(tmp_path, capsys):
     assert "move 0" in capsys.readouterr().out
 
 
+def _line_instance():
+    """Agents 0 and 1 on vertices 0 and 2 of the line 0-1-2, goals swapped."""
+    rm = make_roadmap([(0.0, 0.0), (1.2, 0.0), (2.4, 0.0)], [(0, 1), (1, 2)])
+    return Instance(rm, 0.5, (0, 2), (2, 0))
+
+
+@pytest.mark.parametrize(
+    "plan, line",
+    [
+        (
+            [Move(0, 0, 1), Move(0, 1, 2)],
+            "invalid: move 1: target vertex 2 occupied by agent 1",
+        ),
+        (
+            [Move(0, 0, 1)],
+            "invalid: goal not reached: agent 0 ended at vertex 1, goal is 2",
+        ),
+    ],
+    ids=["bad-move", "goal-not-reached"],
+)
+def test_validate_prints_the_reason_once(tmp_path, capsys, plan, line):
+    # A bad move printed its index twice: "invalid at move 1: move 1: ...".
+    map_path, scen_path = write_fixture(tmp_path, _line_instance(), "line")
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, plan)
+    code = main(
+        ["validate", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().out.splitlines() == [line]
+
+
 def test_render_rejects_teleporting_plan(tmp_path, capsys):
     inst = ordering_instance()
     map_path, scen_path = write_fixture(tmp_path, inst, "order")
@@ -194,7 +227,7 @@ def test_render_rejects_teleporting_plan(tmp_path, capsys):
          "--plan", str(plan_path), "--out", str(tmp_path / "frames")]
     )
     assert code == 1
-    assert "agent 0 is at 0, not 1" in capsys.readouterr().err
+    assert "error: move 0: agent 0 is at 0, not 1" in capsys.readouterr().err
     assert not (tmp_path / "frames").exists()
 
 
@@ -217,6 +250,30 @@ def test_render_rejects_a_move_off_the_roadmap(tmp_path, capsys, dst):
         if dst >= 0
         else f"error: {plan_path}:2: to vertex must be >= 0, got {dst}"
     ]
+    assert not (tmp_path / "frames").exists()
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ([Move(0, 0, 1), Move(0, 1, 2)], "move 1: target vertex 2 is occupied"),
+        ([Move(0, 0, 1), Move(0, 0, 1)], "move 1: agent 0 is at 1, not 0"),
+        ([Move(0, 0, 1), Move(5, 1, 0)], "move 1: no agent 5 in state"),
+    ],
+    ids=["occupied", "wrong-source", "absent-agent"],
+)
+def test_render_rejects_a_bad_move_naming_its_index(tmp_path, capsys, plan, message):
+    # These gave no index: "target vertex 2 is occupied".
+    map_path, scen_path = write_fixture(tmp_path, _line_instance(), "line")
+    plan_path = tmp_path / "p.txt"
+    fileio.save_plan(plan_path, plan)
+    code = main(
+        ["render", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path), "--out", str(tmp_path / "frames")]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "frames").exists()
 
 

@@ -8,6 +8,7 @@ from mapfla.geometry import dist
 from mapfla.harness import (
     PRESETS,
     BenchReport,
+    BenchSoundnessError,
     RoadmapGenError,
     gen_preset,
     gen_roadmap,
@@ -16,6 +17,7 @@ from mapfla.harness import (
     run_bench,
 )
 from mapfla.model import Instance, Roadmap, validate_roadmap
+from mapfla.validator import PlanReport
 
 
 def test_gen_roadmap_single_vertex():
@@ -278,6 +280,31 @@ def test_run_bench_sends_each_roadmap_to_a_worker_once(monkeypatch):
     assert [replace(r, mean_ms=0) for r in report.rows] == [
         replace(r, mean_ms=0) for r in serial
     ]
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, []), (2, [2])], ids=["serial", "pool"])
+def test_a_rejected_plan_aborts_the_bench_naming_its_task(monkeypatch, jobs, workers):
+    # The validator rejects the plan of scenario 2 at n = 4, which la solves.
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(harness, "_worker_roadmaps", {})
+    rm = gen_roadmap(24, 3.6, 1.0, (9, 9), seed=6)
+    rejected = instance_from_scenario(rm, 0.48, gen_scenario(rm, 6, seed=2), 4).starts
+    validate = harness.validate_plan
+
+    def rejecting(instance, plan):
+        if instance.starts == rejected:
+            return PlanReport(ok=False, failed_index=0, reason="move 0: rejected")
+        return validate(instance, plan)
+
+    monkeypatch.setattr(harness, "validate_plan", rejecting)
+    with pytest.raises(
+        BenchSoundnessError,
+        match=r"^solver bug: plan for roadmap=tiny mode=la n=4 scenario=2 failed",
+    ):
+        _small_bench(jobs=jobs)
+    assert _RecordingPool.created == workers
 
 
 def test_serial_run_bench_shares_the_callers_roadmap_and_leaves_no_state():

@@ -7,7 +7,8 @@ target, a fresh reverse BFS from the target followed by a greedy walk over
 sorted adjacency.  Reference copies of both live here only.  The outer
 loop's ``lex_shortest_path`` prunes its search with the roadmap's hop
 distances to the goal and runs ``_Search`` only when that misses; it is held
-to the same reference, and its fallback to the cases that need it.
+to the same reference, its fallback to the cases that need it, and its
+callers to views without ``near`` vertices.
 """
 
 from __future__ import annotations
@@ -19,9 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from helpers import toy_instance
 from mapfla import solver
+from mapfla.harness import gen_preset, gen_scenario, instance_from_scenario
 from mapfla.model import Instance, InterferenceCache, make_roadmap
-from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
+from mapfla.solver import (
+    GraphView,
+    SolverConfig,
+    Workspace,
+    _Search,
+    lex_shortest_path,
+    solve,
+)
 
 
 def ref_bfs_dists(view, src, blocked):
@@ -190,9 +200,35 @@ def test_pruned_search_on_two_routes(src, dst, blocked, masked, want, fell_back)
     assert searched(view, src, dst, blocked) == (want, fell_back)
 
 
-def test_a_view_with_near_vertices_gets_the_full_search():
-    near = _two_routes().avoiding(7)
-    assert searched(near, 0, 3, frozenset()) == ([0, 1, 2, 3], True)
+@pytest.mark.parametrize("mode", ["la", "naive"])
+def test_the_outer_loop_hands_the_pruned_search_no_near_vertices(monkeypatch, mode):
+    """The pruned search ignores ``GraphView.near``, so every view its one
+    caller, ``_plan_agent``, hands it must have none, though the pushes of
+    the same solves build views that do.  Checked on the la n = 40 cell of
+    criterion 6 and on the 12-vertex 5-agent toy family."""
+    nears, near_views = [], []
+    search, avoiding = solver.lex_shortest_path, GraphView.avoiding
+
+    def recording_search(view, *args):
+        nears.append(view.near)
+        return search(view, *args)
+
+    def recording_avoiding(view, v):
+        near_views.append(v)
+        return avoiding(view, v)
+
+    monkeypatch.setattr(solver, "lex_shortest_path", recording_search)
+    monkeypatch.setattr(GraphView, "avoiding", recording_avoiding)
+    roadmap, radius = gen_preset("sparse-like", 0)
+    instances = [
+        instance_from_scenario(roadmap, radius, gen_scenario(roadmap, 40, seed=i), 40)
+        for i in range(25)
+    ]
+    instances += [toy_instance(seed, 12, 5) for seed in range(1000)]
+    for instance in instances:
+        solve(instance, SolverConfig(mode=mode, time_limit=10.0))
+    assert nears and not any(nears)
+    assert bool(near_views) == (mode != "naive")  # naive clears nothing
 
 
 def ref_push_off(ws, g, src, path_blocked, acceptable, push):

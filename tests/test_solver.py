@@ -35,6 +35,7 @@ from mapfla.solver import (
     InvalidInstanceError,
     SolverConfig,
     Workspace,
+    _orderings,
     _outer_push,
     lex_shortest_path,
     solve,
@@ -234,6 +235,33 @@ def test_stats_are_populated():
     assert result.stats.move_la_calls > 0
     assert result.stats.attempts == 1
     assert result.stats.elapsed > 0
+
+
+@pytest.mark.parametrize(
+    "toy, move_la_calls, case3_failures",
+    [((51,), 44, 0), ((90, 12, 5), 114, 13)],
+)
+def test_restart_counters_are_the_sums_over_the_orderings_tried(
+    toy, move_la_calls, case3_failures
+):
+    """One workspace serves every ordering of a solve, rolled back to the
+    starts between them, so a solve whose orderings all fail counts what
+    solving each of them alone counts, summed."""
+    inst = toy_instance(*toy)
+    config = cfg(order="random-restarts:3:1")
+    result = solve(inst, config)
+    alone = [
+        solve(inst, cfg(order="perm:" + ",".join(map(str, order)))).stats
+        for order in _orderings(config, inst.n_agents)
+    ]
+    assert result.status == FAILED
+    assert result.stats.attempts == len(alone) == 3
+    assert result.stats.move_la_calls == sum(s.move_la_calls for s in alone) == move_la_calls
+    assert (
+        result.stats.case3_failures
+        == sum(s.case3_failures for s in alone)
+        == case3_failures
+    )
 
 
 def test_a_dense_solve_computes_few_edge_bands(caplog):
