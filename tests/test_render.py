@@ -1,6 +1,9 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
-from helpers import chain_clear_instance
+import pytest
+
+from helpers import chain_clear_instance, sidestep_instance
 from mapfla.render import render_plan
 from mapfla.solver import SolverConfig, solve
 
@@ -32,3 +35,18 @@ def test_frames_show_agents_and_margin(tmp_path):
     assert "stroke-linecap" in first  # interference margin of the active move
     last = frames[-1].read_text()
     assert "stroke-linecap" not in last  # terminal frame has no active move
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (chain_clear_instance, "766aae6171b3e46a3f3a7a4212cc2b02812e1e67b78eb7d2d39dcb9de6065210"),
+        (sidestep_instance, "004ef57e941bbb898c6cd0e024b0116d820e25b99d4206c92fa14947a885cbd3"),
+    ],
+)
+def test_frames_keep_their_bytes(tmp_path, make, digest):
+    """SHA-256 of the frame files concatenated in order, pinned so that a
+    refactor of the renderer cannot change a frame unnoticed."""
+    inst = make()
+    frames = render_plan(inst, solve(inst, SolverConfig()).plan, tmp_path)
+    assert hashlib.sha256(b"".join(f.read_bytes() for f in frames)).hexdigest() == digest
