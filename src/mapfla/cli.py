@@ -163,11 +163,17 @@ def cmd_render(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mapfla", description="MAPF solver for large disk agents")
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--map", required=True)
+    instance.add_argument("--scen", required=True)
+    instance.add_argument("--agents", type=int, default=None)
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--preset", choices=sorted(PRESETS), default="sparse-like")
+    preset.add_argument("--seed", type=int, default=0)
+    preset.add_argument("--scenarios", type=int, default=25)
+    preset.add_argument("--pairs", type=int, default=40)
 
-    p = sub.add_parser("solve", help="solve a scenario and write the plan")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
-    p.add_argument("--agents", type=int, default=None)
+    p = sub.add_parser("solve", parents=[instance], help="solve a scenario and write the plan")
     p.add_argument("--out", default=None)
     p.add_argument("--mode", choices=["la", "naive"], default="la")
     p.add_argument("--order", default="index",
@@ -176,26 +182,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--time-limit", type=float, default=30.0)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("validate", help="check a plan against a scenario")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
+    p = sub.add_parser("validate", parents=[instance], help="check a plan against a scenario")
     p.add_argument("--plan", required=True)
-    p.add_argument("--agents", type=int, default=None)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("gen", help="write preset roadmap and scenario files")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="sparse-like")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenarios", type=int, default=25)
-    p.add_argument("--pairs", type=int, default=40)
+    p = sub.add_parser("gen", parents=[preset], help="write preset roadmap and scenario files")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", help="run the success-rate benchmark, emit CSV")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="sparse-like")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenarios", type=int, default=25)
-    p.add_argument("--pairs", type=int, default=40)
+    p = sub.add_parser("bench", parents=[preset], help="run the success-rate benchmark, emit CSV")
     p.add_argument("--modes", default="la,naive")
     p.add_argument("--n", default="2..40", help="agent counts, e.g. 2..40 or 8")
     p.add_argument("--time-limit", type=float, default=30.0)
@@ -204,11 +199,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("render", help="render a plan as SVG frames")
-    p.add_argument("--map", required=True)
-    p.add_argument("--scen", required=True)
+    p = sub.add_parser("render", parents=[instance], help="render a plan as SVG frames")
     p.add_argument("--plan", required=True)
-    p.add_argument("--agents", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
     return parser

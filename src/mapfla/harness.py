@@ -46,7 +46,6 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RoadmapPreset:
-    name: str
     n_vertices: int
     target_degree: float
     min_separation: float
@@ -56,7 +55,6 @@ class RoadmapPreset:
 
 PRESETS: dict[str, RoadmapPreset] = {
     "sparse-like": RoadmapPreset(
-        name="sparse-like",
         n_vertices=158,
         target_degree=4.42,
         min_separation=1.0,
@@ -64,7 +62,6 @@ PRESETS: dict[str, RoadmapPreset] = {
         radius=0.48,
     ),
     "dense-like": RoadmapPreset(
-        name="dense-like",
         n_vertices=300,
         target_degree=8.0,
         min_separation=1.0,

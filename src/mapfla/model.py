@@ -76,7 +76,7 @@ class Roadmap:
     edge_bands: dict[float, EdgeBands] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _separation_lines: dict[tuple[type, float], tuple[str, ...]] = field(
+    _separation_lines: dict[float, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -147,8 +147,7 @@ class Roadmap:
         Only the pairs an x-sorted sweep finds within ``2r + 2 EPS`` of each
         other along both axes are tested.
         """
-        key = (type(radius), radius)  # equal radii of two types may print apart
-        lines = self._separation_lines.get(key)
+        lines = self._separation_lines.get(radius)
         if lines is None:
             limit = clearance_threshold(radius)
             margin = limit + EPS
@@ -160,7 +159,7 @@ class Roadmap:
                 for v in order[i + 1 : bisect_right(xs, x + margin, i + 1)]:
                     if abs(pts[v][1] - y) <= margin and (d := dist(pts[u], pts[v])) <= limit:
                         close.append((min(u, v), max(u, v), d))
-            lines = self._separation_lines[key] = tuple([
+            lines = self._separation_lines[radius] = tuple([
                 f"vertices {u} and {v} are {d:.9g} apart; "
                 f"separation must exceed 2r = {2 * radius:.9g}"
                 for u, v, d in sorted(close)
@@ -191,12 +190,6 @@ class Roadmap:
                 frontier = nxt
             hops = self.goal_hops[goal] = array("H" if n < 1 << 16 else "L", dist)
         return hops
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
 
 
 @dataclass(frozen=True)

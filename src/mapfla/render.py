@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .model import Instance, Plan, State, apply_move, edge_key
+from .model import Instance, Move, Plan, State, apply_move, edge_key
 
 _MARGIN = 2.0
+_SCALE = 40.0  # pixels per roadmap unit
 
 
 def _agent_color(agent: int, k: int) -> str:
@@ -21,58 +22,44 @@ def _agent_color(agent: int, k: int) -> str:
     return f"hsl({hue}, 70%, 45%)"
 
 
-def render_frame(
-    instance: Instance,
-    state: State,
-    move_index: int | None,
-    plan: Plan,
-    scale: float = 40.0,
-) -> str:
-    """One SVG document for ``state``; ``move_index`` marks the upcoming move."""
+def render_frame(instance: Instance, state: State, move: Move | None) -> str:
+    """One SVG document for ``state``; ``move``, if any, is the upcoming one."""
     rm = instance.roadmap
     r = instance.radius
     xs = [p[0] for p in rm.points] or [0.0]
     ys = [p[1] for p in rm.points] or [0.0]
     x0, y0 = min(xs) - _MARGIN, min(ys) - _MARGIN
     x1, y1 = max(xs) + _MARGIN, max(ys) + _MARGIN
-    w = (x1 - x0) * scale
-    h = (y1 - y0) * scale
+    w = (x1 - x0) * _SCALE
+    h = (y1 - y0) * _SCALE
 
     def sx(x: float) -> float:
-        return (x - x0) * scale
+        return (x - x0) * _SCALE
 
     def sy(y: float) -> float:
-        return (y1 - y) * scale  # flip so +y points up
+        return (y1 - y) * _SCALE  # flip so +y points up
+
+    def segment(u: int, v: int, style: str) -> str:
+        a, b = rm.points[u], rm.points[v]
+        return (
+            f'<line x1="{sx(a[0]):.2f}" y1="{sy(a[1]):.2f}" '
+            f'x2="{sx(b[0]):.2f}" y2="{sy(b[1]):.2f}" {style}/>'
+        )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.2f} {h:.2f}">',
         f'<rect width="{w:.2f}" height="{h:.2f}" fill="white"/>',
     ]
-
-    if move_index is not None and 0 <= move_index < len(plan):
-        m = plan[move_index]
-        a = rm.points[m.src]
-        b = rm.points[m.dst]
-        parts.append(
-            f'<line x1="{sx(a[0]):.2f}" y1="{sy(a[1]):.2f}" '
-            f'x2="{sx(b[0]):.2f}" y2="{sy(b[1]):.2f}" '
-            f'stroke="rgba(255,160,0,0.25)" stroke-width="{4 * r * scale:.2f}" '
-            f'stroke-linecap="round"/>'
-        )
-        parts.append(
-            f'<line x1="{sx(a[0]):.2f}" y1="{sy(a[1]):.2f}" '
-            f'x2="{sx(b[0]):.2f}" y2="{sy(b[1]):.2f}" '
-            f'stroke="orange" stroke-width="3"/>'
-        )
-
+    if move is not None:
+        parts.append(segment(
+            move.src, move.dst,
+            f'stroke="rgba(255,160,0,0.25)" stroke-width="{4 * r * _SCALE:.2f}" '
+            f'stroke-linecap="round"',
+        ))
+        parts.append(segment(move.src, move.dst, 'stroke="orange" stroke-width="3"'))
     for u, v in sorted(rm.edge_set):
-        a, b = rm.points[u], rm.points[v]
-        parts.append(
-            f'<line x1="{sx(a[0]):.2f}" y1="{sy(a[1]):.2f}" '
-            f'x2="{sx(b[0]):.2f}" y2="{sy(b[1]):.2f}" '
-            f'stroke="#999" stroke-width="1"/>'
-        )
+        parts.append(segment(u, v, 'stroke="#999" stroke-width="1"'))
     for x, y in rm.points:
         parts.append(
             f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="#444"/>'
@@ -82,7 +69,7 @@ def render_frame(
     for agent, goal in enumerate(instance.goals):
         x, y = rm.points[goal]
         parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r * scale:.2f}" '
+            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r * _SCALE:.2f}" '
             f'fill="none" stroke="{_agent_color(agent, k)}" '
             f'stroke-width="1.5" stroke-dasharray="4 3"/>'
         )
@@ -90,7 +77,7 @@ def render_frame(
         x, y = rm.points[vertex]
         color = _agent_color(agent, k)
         parts.append(
-            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r * scale:.2f}" '
+            f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r * _SCALE:.2f}" '
             f'fill="{color}" fill-opacity="0.75" stroke="{color}"/>'
         )
         parts.append(
@@ -119,8 +106,8 @@ def render_plan(instance: Instance, plan: Plan, out_dir: str | Path) -> list[Pat
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for i, state in enumerate(states):
-        marker = i if i < len(plan) else None
+        move = plan[i] if i < len(plan) else None
         path = out / f"frame_{i:04d}.svg"
-        path.write_text(render_frame(instance, state, marker, plan), encoding="utf-8")
+        path.write_text(render_frame(instance, state, move), encoding="utf-8")
         written.append(path)
     return written

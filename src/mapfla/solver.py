@@ -34,10 +34,15 @@ costs far more than one full search.  The pruned search reads the roadmap's
 adjacency and the view's removed edges only, so its view must hold no
 ``near`` vertices; the outer loop's views never do.
 
+Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
+goals, one set for the pass: each stands on its goal when the call starts,
+no push enters the set and ``move_la`` moves only its mover on net.  The
+second pass blocks nothing, so it may displace locked agents.
+
 Termination.  Neither loop of the outer planner has a cap: each is
 deterministic in a finite state and stops when that state repeats.  A round
-of ``_plan_agent`` is fixed by the positions and the banned edges
-(``locked`` and the pass are fixed); a round that starts from an earlier
+of ``_plan_agent`` is fixed by the positions and the banned edges (the
+locked agents and the pass are fixed); a round that starts from an earlier
 round's pair rolls the plan back to where that round started, dropping the
 cycle's moves (they have no net effect), and ends the pass.
 ``_solve_single_order``'s queue loop is fixed by the positions, the queue
@@ -448,11 +453,7 @@ class Workspace:
         Returns None on success, else the edge whose traversal failed (state
         restored).
         """
-        if len(path) < 2:
-            return None
         entry = self.mark()
-        if path[-1] in self.at:
-            return (path[-2], path[-1])
         occupied_idx = [i for i, v in enumerate(path) if v in self.at]
         target = len(path) - 1
         for i in reversed(occupied_idx):
@@ -474,13 +475,11 @@ class Workspace:
         Returns the subsequence that must be replayed in reverse after the
         traversal to restore the relocated agents (the mover's sidestep is
         already undone inline and excluded), or None with state restored.
+        ``v_prime`` must be occupied and the mover must stand on ``v_from``.
         """
         self.check_time()
         v_from, v_to = edge
-        a_prime = self.at.get(v_prime)
-        mover = self.at.get(v_from)
-        if a_prime is None or mover is None:
-            return None
+        a_prime = self.at[v_prime]
         occupied_at_entry = frozenset(self.at)
         band = self.bands[edge_key(v_from, v_to)]
         g_clear = view.avoiding(v_to)
@@ -683,7 +682,7 @@ def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
     while queue:
         ws.check_time()
         agent = queue.popleft()
-        if not _plan_agent(ws, base, agent, locked):
+        if not _plan_agent(ws, base, agent, frozenset(locked.values())):
             return False
         locked[agent] = instance.goals[agent]
         displaced = [a for a, v in locked.items() if ws.pos[a] != v]
@@ -703,10 +702,10 @@ def _plan_agent(
     ws: Workspace,
     base: GraphView,
     agent: int,
-    locked: dict[int, int],
+    locked_goals: frozenset[int],
 ) -> bool:
     goal = ws.instance.goals[agent]
-    for disturb in (False, True):
+    for hard in (locked_goals, frozenset()):
         banned: set[Edge] = set()
         seen: dict[tuple, int] = {}  # state -> plan length: see the module docstring
         while ws.pos[agent] != goal:
@@ -720,9 +719,6 @@ def _plan_agent(
                 break
             seen[key] = len(ws.plan)
             ws.check_time()
-            hard = (
-                frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
-            )
             view = base.without(banned)
             path = lex_shortest_path(view, ws.pos[agent], goal, hard)
             if path is None:
@@ -767,8 +763,8 @@ def _outer_push(
     agent's remaining path, then merely avoiding its current vertex, finally
     anywhere.  The last tier may run the chain through the advancing agent,
     shoving it backwards too; the caller notices its new position and
-    replans.  No chain enters ``hard``, the round's blocked vertices: the
-    locked agents' vertices in the first pass, none in the second.
+    replans.  No chain enters ``hard``, the pass's blocked vertices: the
+    locked agents' goals in the first pass, none in the second.
     """
     tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
     keys = dict.fromkeys((avoid | hard) - {head} for avoid in tiers)

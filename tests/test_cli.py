@@ -127,6 +127,23 @@ def test_ordering_fixture_cli_behaviour(tmp_path, capsys):
     assert main(base + ["--order", "random-restarts:10:1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("random-restarts:3", "malformed order spec 'random-restarts:3'"),
+        ("random-restarts:0:1", "restart count must be >= 1"),
+    ],
+)
+def test_a_bad_restart_spec_is_a_usage_error(tmp_path, capsys, order, message):
+    map_path, scen_path = write_fixture(tmp_path, ordering_instance(), "order")
+    code = main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                 "--order", order])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_agents_zero_is_usage_error(tmp_path, capsys):
     inst = ordering_instance()
     map_path, scen_path = write_fixture(tmp_path, inst, "order")
@@ -169,6 +186,17 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     code = main(["solve", "--map", str(bad), "--scen", str(scen)])
     assert code == 1
     assert ":3:" in capsys.readouterr().err
+
+
+def test_malformed_scenario_record_names_its_line(tmp_path, capsys):
+    map_path, _ = write_fixture(tmp_path, ordering_instance(), "order")
+    scen = tmp_path / "s.scen"
+    scen.write_text("mapfla-scen 1\nroadmap order.map\n\na 0 1 2\n")
+    code = main(["solve", "--map", str(map_path), "--scen", str(scen)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {scen}:4: a record needs start and goal\n"
+    assert captured.out == ""
 
 
 def test_validate_detects_broken_plan(tmp_path, capsys):
@@ -357,6 +385,17 @@ def test_bench_cli_csv(tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("roadmap,mode,n,")
     assert len(lines) == 1 + 2 * 2  # 2 modes x 2 n-values
+
+
+def test_bench_cli_without_out_prints_the_csv(capsys):
+    args = ["bench", "--scenarios", "2", "--pairs", "6", "--modes", "la",
+            "--n", "2..3", "--time-limit", "5"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "roadmap,mode,n,solved,failed,timeout,success_rate,mean_ms"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["sparse-like", "la", "2"], ["sparse-like", "la", "3"],
+    ]
 
 
 def test_bench_rejects_jobs_below_one(capsys):

@@ -126,3 +126,34 @@ def test_negative_plan_ids_rejected(record, message):
 
 def test_zero_plan_ids_accepted():
     assert fileio.loads_plan("mapfla-plan 1\nm 0 0 0\n") == [Move(0, 0, 0)]
+
+
+
+_MAP = "mapfla-roadmap 1\n# a comment\nr 0.5\nv 0 0.0 0.0\n"
+_SCEN = "mapfla-scen 1\n# a comment\nroadmap m.map\na 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_MAP + "r 0.5 0.6", "m.map:5: r record needs one value"),
+        (_MAP + "r 0.6", "m.map:5: duplicate r record"),
+        (_MAP + "v 1 0.0", "m.map:5: v record needs id, x, y"),
+        (_MAP + "v 0 1.0 1.0", "m.map:5: vertex 0 declared twice"),
+        (_MAP + "e 0", "m.map:5: e record needs two vertex ids"),
+        (_MAP + "x 0 1", "m.map:5: unknown record 'x'"),
+        (_MAP + "v one 1.0 1.0", "m.map:5: vertex id must be an integer, got 'one'"),
+        (_SCEN + "roadmap", "s.scen:5: roadmap record needs one name"),
+        (_SCEN + "roadmap n.map", "s.scen:5: duplicate roadmap record"),
+        (_SCEN + "a 1 2 3", "s.scen:5: a record needs start and goal"),
+        (_SCEN + "b 1 2", "s.scen:5: unknown record 'b'"),
+    ],
+)
+def test_each_malformed_record_is_rejected_naming_its_line(text, message):
+    if text.startswith(fileio.ROADMAP_HEADER):
+        loads, source = fileio.loads_roadmap, "m.map"
+    else:
+        loads, source = fileio.loads_scenario, "s.scen"
+    with pytest.raises(fileio.FileFormatError) as err:
+        loads(text + "\n", source)
+    assert str(err.value) == message

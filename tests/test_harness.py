@@ -48,7 +48,7 @@ def test_gen_roadmap_connected():
     stack = [0]
     while stack:
         u = stack.pop()
-        for w in rm.neighbors(u):
+        for w in rm.adjacency[u]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -176,6 +176,13 @@ def test_run_bench_la_dominates_naive():
         la = report.cell("tiny", "la", n)
         naive = report.cell("tiny", "naive", n)
         assert la.success_rate >= naive.success_rate
+
+
+def test_bench_report_cell_raises_key_error_for_a_missing_cell():
+    report = _small_bench()
+    with pytest.raises(KeyError) as raised:
+        report.cell("tiny", "la", 3)
+    assert raised.value.args == (("tiny", "la", 3),)
 
 
 def test_bench_report_csv_shape():

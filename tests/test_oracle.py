@@ -83,7 +83,7 @@ def reference_joint_bfs(instance, node_budget=1_000_000):
         current = queue.popleft()
         expanded += 1
         for agent, u in enumerate(current):
-            for w in rm.neighbors(u):
+            for w in rm.adjacency[u]:
                 a, b = rm.points[u], rm.points[w]
                 if any(
                     v == w or segdist(rm.points[v], a, b) <= threshold

@@ -97,6 +97,19 @@ def test_ordering_fixture_restarts_recover():
     assert validate_plan(inst, result.plan).ok
 
 
+@pytest.mark.parametrize(
+    "order, message",
+    [
+        ("random-restarts:3", "malformed order spec 'random-restarts:3'"),
+        ("random-restarts:0:1", "restart count must be >= 1"),
+    ],
+)
+def test_a_bad_restart_spec_is_rejected(order, message):
+    with pytest.raises(ValueError) as raised:
+        solve(ordering_instance(), cfg(order=order))
+    assert str(raised.value) == message
+
+
 def test_restarts_stop_once_every_ordering_was_tried():
     # Two agents have 2! = 2 orderings.  Agent 0's goal lies off the only
     # edge, so both fail; the generator used to keep shuffling for the rest
@@ -319,22 +332,19 @@ def _plan_agent_every_round(
     ws: Workspace,
     base: GraphView,
     agent: int,
-    locked: dict[int, int],
+    locked_goals: frozenset[int],
 ) -> bool:
     """The outer loop's per-agent planner as it was before cycles were cut:
     a round that repeats an earlier round's state is run again, up to
     ``4·|V| + 16`` rounds per pass."""
     goal = ws.instance.goals[agent]
     round_cap = 4 * ws.instance.roadmap.n_vertices + 16
-    for disturb in (False, True):
+    for hard in (locked_goals, frozenset()):
         banned: set[Edge] = set()
         rounds = 0
         while ws.pos[agent] != goal and rounds < round_cap:
             rounds += 1
             ws.check_time()
-            hard = (
-                frozenset() if disturb else frozenset(ws.pos[a] for a in locked)
-            )
             view = base.without(frozenset(banned)) if banned else base
             path = lex_shortest_path(view, ws.pos[agent], goal, hard)
             if path is None:
@@ -520,32 +530,34 @@ def test_a_repeated_outer_loop_state_fails_the_ordering_once_logged(caplog):
 
 @pytest.mark.parametrize("mode", ["la", "naive"])
 def test_outer_push_gets_the_locked_agents_vertices_as_hard(monkeypatch, mode):
-    """``_plan_agent`` computes ``hard`` once per round and ``_outer_push``
-    trusts it.  That holds because no move made during a first-pass round
-    leaves a locked agent off its goal: every call sees either an empty
-    ``hard`` in the second pass, or the vertices the locked agents stand on
-    now, each on its goal."""
+    """``_plan_agent`` is given the locked agents' goals once per call and
+    blocks them for its whole first pass, and ``_outer_push`` trusts them.
+    That holds because no move made during the first pass leaves a locked
+    agent off its goal: every call sees either an empty ``hard`` in the
+    second pass, or the vertices the locked agents stand on now, each
+    holding the agent whose goal it is."""
     plan_agent, outer_push = mapfla.solver._plan_agent, mapfla.solver._outer_push
     locked_now: list[dict[int, int]] = []
-    seen = {"first pass, agents locked": 0, "second pass": 0}
+    seen = {"first pass, agents locked": 0, "second pass, agents locked": 0}
 
-    def planning(ws, base, agent, locked):
+    def planning(ws, base, agent, locked_goals):
+        locked = sys._getframe(1).f_locals["locked"]
+        assert locked_goals == frozenset(locked.values())
         locked_now.append(locked)
         try:
-            return plan_agent(ws, base, agent, locked)
+            return plan_agent(ws, base, agent, locked_goals)
         finally:
             locked_now.pop()
 
     def pushing(ws, base, head, mover_vertex, protect, hard):
-        disturb = sys._getframe(1).f_locals["disturb"]
         locked = locked_now[-1]
-        if disturb:
-            assert hard == frozenset()
-            seen["second pass"] += 1
-        else:
+        goals = ws.instance.goals
+        assert all(v in ws.at and goals[ws.at[v]] == v for v in hard)
+        if hard:
             assert hard == frozenset(ws.pos[a] for a in locked)
-            assert all(ws.pos[a] == goal for a, goal in locked.items())
-            seen["first pass, agents locked"] += bool(locked)
+            seen["first pass, agents locked"] += 1
+        else:
+            seen["second pass, agents locked"] += bool(locked)
         return outer_push(ws, base, head, mover_vertex, protect, hard)
 
     monkeypatch.setattr(mapfla.solver, "_plan_agent", planning)

@@ -275,7 +275,7 @@ def test_traverse_naive_matches_validator_verdict():
         ws = Workspace(inst, mode=NAIVE)
         agent = rng.randrange(inst.n_agents)
         u = ws.pos[agent]
-        nbrs = inst.roadmap.neighbors(u)
+        nbrs = inst.roadmap.adjacency[u]
         if not nbrs:
             continue
         v = rng.choice(nbrs)

@@ -17,6 +17,7 @@ from mapfla.model import (
     State,
     apply_move,
     assignment_issues,
+    edge_key,
     make_roadmap,
     validate_roadmap,
 )
@@ -82,6 +83,13 @@ def test_first_failure_reported_with_index():
     assert "not 1" in report.reason
 
 
+def test_a_move_of_an_agent_not_in_the_instance_is_reported():
+    inst = line_instance((0,), (2,))
+    assert validate_plan(inst, [Move(5, 0, 1)]) == PlanReport(
+        ok=False, failed_index=0, reason="move 0: no agent 5"
+    )
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_validity_monotone_in_radius(seed):
@@ -91,7 +99,7 @@ def test_validity_monotone_in_radius(seed):
     state = State(inst.starts)
     agent = rng.randrange(inst.n_agents)
     u = state.positions[agent]
-    nbrs = inst.roadmap.neighbors(u)
+    nbrs = inst.roadmap.adjacency[u]
     if not nbrs:
         return
     move = Move(agent, u, rng.choice(nbrs))
@@ -269,7 +277,7 @@ def reference_transition_error(state, move, instance):
             f"agent {move.agent} is at vertex {state.positions[move.agent]}, "
             f"not {move.src}"
         )
-    if not rm.has_edge(move.src, move.dst):
+    if edge_key(move.src, move.dst) not in rm.edge_set:
         return f"no edge between {move.src} and {move.dst}"
     threshold = clearance_threshold(instance.radius)
     a = rm.points[move.src]
@@ -311,7 +319,7 @@ def _candidate_moves(state, instance):
     return [
         Move(agent, u, w)
         for agent, u in enumerate(state.positions)
-        for w in instance.roadmap.neighbors(u)
+        for w in instance.roadmap.adjacency[u]
     ]
 
 
@@ -343,7 +351,7 @@ def _mutate(plan, mutation, instance, rng):
         j = rng.randrange(len(plan))
         plan[i], plan[j] = plan[j], plan[i]
     elif mutation == "retarget":
-        plan[i] = Move(move.agent, move.src, rng.choice(instance.roadmap.neighbors(move.src)))
+        plan[i] = Move(move.agent, move.src, rng.choice(instance.roadmap.adjacency[move.src]))
     else:
         plan[i] = Move(rng.randrange(instance.n_agents), move.src, move.dst)
     return plan
