@@ -133,6 +133,7 @@ def test_ordering_fixture_cli_behaviour(tmp_path, capsys):
         ("random-restarts:3", "malformed order spec 'random-restarts:3'"),
         ("random-restarts:0:1", "restart count must be >= 1"),
     ],
+    ids=["malformed", "zero-restarts"],
 )
 def test_a_bad_restart_spec_is_a_usage_error(tmp_path, capsys, order, message):
     map_path, scen_path = write_fixture(tmp_path, ordering_instance(), "order")

@@ -148,6 +148,10 @@ _SCEN = "mapfla-scen 1\n# a comment\nroadmap m.map\na 0 1\n"
         (_SCEN + "a 1 2 3", "s.scen:5: a record needs start and goal"),
         (_SCEN + "b 1 2", "s.scen:5: unknown record 'b'"),
     ],
+    ids=[
+        "r-arity", "r-twice", "v-arity", "v-twice", "e-arity", "map-unknown", "id-not-int",
+        "roadmap-arity", "roadmap-twice", "a-arity", "scen-unknown",
+    ],
 )
 def test_each_malformed_record_is_rejected_naming_its_line(text, message):
     if text.startswith(fileio.ROADMAP_HEADER):

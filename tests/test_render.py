@@ -43,6 +43,7 @@ def test_frames_show_agents_and_margin(tmp_path):
         (chain_clear_instance, "766aae6171b3e46a3f3a7a4212cc2b02812e1e67b78eb7d2d39dcb9de6065210"),
         (sidestep_instance, "004ef57e941bbb898c6cd0e024b0116d820e25b99d4206c92fa14947a885cbd3"),
     ],
+    ids=["chain-clear", "sidestep"],
 )
 def test_frames_keep_their_bytes(tmp_path, make, digest):
     """SHA-256 of the frame files concatenated in order, pinned so that a

@@ -103,6 +103,7 @@ def test_ordering_fixture_restarts_recover():
         ("random-restarts:3", "malformed order spec 'random-restarts:3'"),
         ("random-restarts:0:1", "restart count must be >= 1"),
     ],
+    ids=["malformed", "zero-restarts"],
 )
 def test_a_bad_restart_spec_is_rejected(order, message):
     with pytest.raises(ValueError) as raised:
