@@ -6,7 +6,8 @@ The relation is computed one edge's band at a time on first lookup by
 roadmap keeps one table per agent radius (:attr:`Roadmap.interference_tables`),
 so every solve on the same ``Roadmap`` object shares the bands earlier solves
 computed, and each goal's hop distances (:meth:`Roadmap.hops_to`) for the
-solver's outer-loop path search.  Its band test and the separation check of
+solver's outer-loop path search, a BFS per goal grown only as far as a
+search has needed.  The band test and the separation check of
 :func:`validate_roadmap` share one sort of the vertices by x per roadmap
 (:attr:`Roadmap.x_order`).  The lines of that check that depend only on the
 roadmap and the radius are cached on the roadmap too, and so is the plan
@@ -14,7 +15,8 @@ validator's own band table per radius (:attr:`Roadmap.edge_bands`).  The
 radius check (:func:`radius_issues`), the edge list check
 (:attr:`Roadmap.edge_issues`) and the start/goal assignment check
 (:func:`assignment_issues`) serve roadmap validation, the plan validator and
-the oracle.
+the oracle.  One pass over the edge list gives the edge list check, the
+edge set and the adjacency together.
 
 Conventions used throughout the package:
 
@@ -32,7 +34,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
@@ -67,8 +69,9 @@ class Roadmap:
     interference_tables: dict[float, InterferenceCache] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Per goal vertex, the hop distances of ``hops_to``.
-    goal_hops: dict[int, array] = field(
+    # Per goal vertex, the BFS of ``hops_to``: its distance list, last layer
+    # and depth while it grows, the finished ``array`` once it is exhausted.
+    goal_hops: dict[int, array | tuple[list[int], list[int], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # The plan validator's own band table (``validator.EdgeBands``) per agent
@@ -90,15 +93,15 @@ class Roadmap:
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(edge_key(u, v) for u, v in self.edge_list if u != v)
+        """Every edge's canonical key but self-loops', edges to missing
+        vertices included."""
+        return self._edge_tables()[0]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[set[int]] = [set() for _ in self.points]
-        for u, v in self.edge_set:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(tuple(sorted(s)) for s in nbrs)
+        """Each vertex's neighbours in increasing id order, over the edges
+        that join two distinct vertices of the roadmap."""
+        return self._edge_tables()[1]
 
     @cached_property
     def x_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -115,20 +118,39 @@ class Roadmap:
         """One line per edge to a missing vertex, self-loop and duplicate
         edge, in edge order; empty iff every edge joins two distinct
         vertices of the roadmap and no edge repeats."""
-        n = self.n_vertices
+        return self._edge_tables()[2]
+
+    def _edge_tables(
+        self,
+    ) -> tuple[frozenset[Edge], tuple[tuple[int, ...], ...], tuple[str, ...]]:
+        """``edge_set``, ``adjacency`` and ``edge_issues`` from one pass over
+        the edge list, all three stored at once, so the first of them read
+        is the only one whose descriptor runs."""
+        n = len(self.points)
+        keys: set[Edge] = set()
+        nbrs: list[list[int]] = [[] for _ in range(n)]
         issues: list[str] = []
-        seen: set[Edge] = set()
-        for u, v in self.edge_list:
-            if not (0 <= u < n and 0 <= v < n):
-                issues.append(f"edge ({u}, {v}) references a missing vertex")
+        for e in self.edge_list:
+            u, v = k = e
+            if u > v:  # a canonical edge is its own key: no new tuple
+                u, v = k = v, u
+            if u < 0 or v >= n:
+                issues.append(f"edge ({e[0]}, {e[1]}) references a missing vertex")
+                if u != v:
+                    keys.add(k)
             elif u == v:
                 issues.append(f"edge ({u}, {v}) is a self-loop")
+            elif k in keys:
+                issues.append(f"duplicate edge ({u}, {v})")
             else:
-                k = edge_key(u, v)
-                if k in seen:
-                    issues.append(f"duplicate edge ({k[0]}, {k[1]})")
-                seen.add(k)
-        return tuple(issues)
+                keys.add(k)
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        for s in nbrs:
+            s.sort()
+        tables = frozenset(keys), tuple(map(tuple, nbrs)), tuple(issues)
+        self.__dict__.update(zip(("edge_set", "adjacency", "edge_issues"), tables))
+        return tables
 
     @cached_property
     def vertex_issues(self) -> tuple[str, ...]:
@@ -153,12 +175,14 @@ class Roadmap:
             margin = limit + EPS
             pts = self.points
             order, xs = self.x_order
+            ys = [pts[v][1] for v in order]
             close = []
             for i, u in enumerate(order):
-                x, y = pts[u]
-                for v in order[i + 1 : bisect_right(xs, x + margin, i + 1)]:
-                    if abs(pts[v][1] - y) <= margin and (d := dist(pts[u], pts[v])) <= limit:
-                        close.append((min(u, v), max(u, v), d))
+                p = pts[u]
+                ylo, yhi = p[1] - margin, p[1] + margin
+                for j in range(i + 1, bisect_right(xs, p[0] + margin, i + 1)):
+                    if ylo <= ys[j] <= yhi and (d := dist(p, pts[v := order[j]])) <= limit:
+                        close.append((u, v, d) if u < v else (v, u, d))
             lines = self._separation_lines[radius] = tuple([
                 f"vertices {u} and {v} are {d:.9g} apart; "
                 f"separation must exceed 2r = {2 * radius:.9g}"
@@ -166,29 +190,44 @@ class Roadmap:
             ])
         return lines
 
-    def hops_to(self, goal: int) -> array:
-        """The hop distance from every vertex to ``goal`` over the whole
-        roadmap, ``n_vertices`` where ``goal`` is unreachable; one BFS over
-        :attr:`adjacency` on the first call per goal, kept in
-        :attr:`goal_hops`.  Stored as an ``array`` of small unsigned ints:
-        a dict or list per goal would take several times the memory."""
+    def hops_to(self, goal: int, src: int | None = None) -> Sequence[int]:
+        """The hop distance from every vertex to ``goal``, ``n_vertices``
+        where it is not known to be finite, by a BFS over :attr:`adjacency`
+        kept in :attr:`goal_hops` and grown only as far as a call needs.
+
+        With ``src``, the BFS grows whole layers until ``src`` is settled or
+        the BFS is exhausted: if ``src`` is at depth D, every vertex within D
+        hops of ``goal`` then holds its distance, and every other one reads
+        ``n_vertices``.  Without ``src``, the BFS is finished.  A finished
+        BFS is stored as an ``array`` of small unsigned ints, which takes a
+        fraction of the memory of the list it grew in.  A BFS grows in
+        place, so two threads must not search one roadmap at once.
+        """
         hops = self.goal_hops.get(goal)
+        if type(hops) is array:
+            return hops
+        n = len(self.points)
         if hops is None:
-            n = len(self.points)
-            adjacency = self.adjacency
             dist = [n] * n
             dist[goal] = 0
-            frontier, k = [goal], 0
-            while frontier:
-                k += 1
-                nxt = []
-                for u in frontier:
-                    for w in adjacency[u]:
-                        if dist[w] == n:
-                            dist[w] = k
-                            nxt.append(w)
-                frontier = nxt
-            hops = self.goal_hops[goal] = array("H" if n < 1 << 16 else "L", dist)
+            hops = self.goal_hops[goal] = dist, [goal], 0
+        dist, frontier, k = hops
+        if src is not None and dist[src] < n:
+            return dist
+        adjacency = self.adjacency
+        while frontier and (src is None or dist[src] == n):
+            k += 1
+            nxt = []
+            for u in frontier:
+                for w in adjacency[u]:
+                    if dist[w] == n:
+                        dist[w] = k
+                        nxt.append(w)
+            frontier = nxt
+        if frontier:
+            self.goal_hops[goal] = dist, frontier, k
+            return dist
+        hops = self.goal_hops[goal] = array("H" if n < 1 << 16 else "L", dist)
         return hops
 
 

@@ -22,17 +22,19 @@ as a fresh reverse BFS from each target plus a greedy walk would.
 
 Pruning.  The outer loop replans each agent's path toward its goal many
 times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
-distances h from every vertex (``Roadmap.hops_to``).  A roadmap hop distance
-is a lower bound in every view, so a search that must reach the goal in
-D = h(src) hops keeps a vertex found at hop k only if h <= D - k: the
-vertices of every shortest path, and hence their first discoverers,
-survive, and the path is the one the full search gives.  When locked agents
-or banned edges make every path longer than D, the pruned search misses the
-goal and the full ``_Search`` runs instead.  D is never raised a hop at a
-time: locked agents force detours many hops long, and a search per hop
-costs far more than one full search.  The pruned search reads the roadmap's
-adjacency and the view's removed edges only, so its view must hold no
-``near`` vertices; the outer loop's views never do.
+distances h (``Roadmap.hops_to``), a BFS from the goal grown only until the
+source is settled: at D = h(src), every vertex within D hops holds its h and
+every other one reads ``n_vertices``.  A roadmap hop distance is a lower
+bound in every view, so a search that must reach the goal in D hops keeps a
+vertex found at hop k only if h <= D - k < D, which no unsettled vertex
+passes: the vertices of every shortest path, and hence their first
+discoverers, survive, and the path is the one the full search gives.  When
+locked agents or banned edges make every path longer than D, the pruned
+search misses the goal and the full ``_Search`` runs instead.  D is never
+raised a hop at a time: locked agents force detours many hops long, and a
+search per hop costs far more than one full search.  The pruned search
+reads the roadmap's adjacency and the view's removed edges only, so its
+view must hold no ``near`` vertices; the outer loop's views never do.
 
 Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
 goals, one set for the pass: each stands on its goal when the call starts,
@@ -125,7 +127,8 @@ class SolveStats:
     bands this call added to the roadmap's interference table: 0 when
     earlier solves on the same ``Roadmap`` object had computed every band it
     read.  ``hop_tables_computed`` likewise counts the goals whose hop
-    distances this call added to ``Roadmap.goal_hops``."""
+    tables this call started in ``Roadmap.goal_hops``; a table an earlier
+    solve started and this one grew further is not counted."""
 
     elapsed: float = 0.0
     moves: int = 0
@@ -258,7 +261,7 @@ def lex_shortest_path(
     :class:`_Search`.  ``view`` must hold no ``near`` vertices: the pruned
     search reads the roadmap's adjacency and the view's removed edges only.
     """
-    hops = view.roadmap.hops_to(dst)
+    hops = view.roadmap.hops_to(dst, src)
     if hops[src] == len(hops) or src in blocked or dst in blocked:
         return None
     adjacency, masked = view.roadmap.adjacency, view._masked
@@ -584,7 +587,7 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     included.  The interference table is the roadmap's own for this radius,
     built on the first solve at that radius; ``stats.bands_computed`` counts
     the bands this call added to it, and ``stats.hop_tables_computed`` the
-    goals' hop distances it added to the roadmap.
+    goals' hop tables it started on the roadmap.
     """
     config = config or SolverConfig()
     if config.mode not in (LA, NAIVE):

@@ -354,6 +354,69 @@ def test_edge_lines_keep_edge_order():
     assert rm.edge_issues == report.issues
 
 
+def ref_edge_set(rm):
+    return frozenset(edge_key(u, v) for u, v in rm.edge_list if u != v)
+
+
+def ref_adjacency(rm):
+    nbrs = [set() for _ in rm.points]
+    for u, v in ref_edge_set(rm):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs)
+
+
+def ref_edge_issues(rm):
+    n = rm.n_vertices
+    issues = []
+    seen = set()
+    for u, v in rm.edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            issues.append(f"edge ({u}, {v}) references a missing vertex")
+        elif u == v:
+            issues.append(f"edge ({u}, {v}) is a self-loop")
+        else:
+            k = edge_key(u, v)
+            if k in seen:
+                issues.append(f"duplicate edge ({k[0]}, {k[1]})")
+            seen.add(k)
+    return tuple(issues)
+
+
+@st.composite
+def edge_lists(draw):
+    """A few vertices and an edge list with ids from -2 to n + 1, in which
+    some edges repeat, either way round."""
+    n = draw(st.integers(0, 6))
+    ids = st.integers(-2, n + 1)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=12))
+    repeats = draw(st.lists(st.tuples(st.integers(0, 99), st.booleans()), max_size=6))
+    for i, flip in repeats:
+        if edges:
+            u, v = edges[i % len(edges)]
+            edges.append((v, u) if flip else (u, v))
+    return make_roadmap([(3.0 * i, 0.0) for i in range(n)], edges)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_lists(), st.permutations(["edge_set", "adjacency", "edge_issues"]))
+def test_one_edge_pass_gives_the_three_separate_passes(rm, first):
+    """Whichever of the three is read first, the one pass gives what three
+    separate passes over the edge list gave; the adjacency, which those
+    passes defined on valid roadmaps only, holds the edges between two
+    vertices of the roadmap."""
+    for name in first:
+        getattr(rm, name)
+    assert rm.edge_issues == ref_edge_issues(rm)
+    assert rm.edge_set == ref_edge_set(rm)
+    assert rm.n_edges == len(ref_edge_set(rm))
+    n = rm.n_vertices
+    valid = make_roadmap(
+        rm.points, [(u, v) for u, v in rm.edge_list if 0 <= u < n and 0 <= v < n]
+    )
+    assert rm.adjacency == ref_adjacency(valid)
+
+
 def test_non_injective_starts_reported():
     rm = make_roadmap([(0, 0), (3, 0), (6, 0)], [(0, 1), (1, 2)])
     inst = Instance(roadmap=rm, radius=0.5, starts=(0, 0), goals=(1, 2))

@@ -294,8 +294,10 @@ def test_the_heuristic_reads_the_goals_hop_arrays_kept_on_the_roadmap():
     assert set(inst.roadmap.goal_hops) == set(inst.goals)
     solved = toy_instance(0)
     assert solver.solve(solved, solver.SolverConfig(mode=solver.LA)).status == solver.SOLVED
+    assert set(solved.roadmap.goal_hops) == set(solved.goals)
+    joint_bfs_solve(solved)
     kept = dict(solved.roadmap.goal_hops)
     assert set(kept) == set(solved.goals)
     joint_bfs_solve(solved)
-    assert solved.roadmap.goal_hops == kept
     assert all(solved.roadmap.goal_hops[g] is hops for g, hops in kept.items())
+    assert solved.roadmap.goal_hops == kept

@@ -13,6 +13,7 @@ callers to views without ``near`` vertices.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from unittest import mock
 
@@ -288,3 +289,40 @@ def test_push_off_tries_the_same_paths_as_the_eager_search(
     want_ok = ref_push_off(ws, view, src, blocked, acceptable, scripted(want_log))
     assert got_log == want_log
     assert got_ok == want_ok
+
+
+@pytest.mark.parametrize(
+    "preset, seed", [("dense-like", s) for s in range(20)] + [("sparse-like", 0)]
+)
+def test_goal_hops_grown_to_the_source_give_the_full_searchs_paths(preset, seed):
+    """``lex_shortest_path`` grows each goal's BFS only until the source is
+    settled.  Random queries on one fresh roadmap, with banned edges and
+    blocked vertices, resume the same tables; after each, every settled
+    entry is the roadmap's hop distance and the settled vertices are
+    exactly those within the depth the BFS reached."""
+    roadmap, radius = gen_preset(preset, seed)
+    n = roadmap.n_vertices
+    base = GraphView(roadmap, InterferenceCache(roadmap, radius))
+    full = {}
+    rng = random.Random(seed)
+    for _ in range(40):
+        src, goal = rng.randrange(n), rng.randrange(n)
+        banned = rng.sample(roadmap.edge_list, rng.randrange(4))
+        blocked = frozenset(rng.sample(range(n), rng.randrange(4)))
+        view = base.without(banned)
+        got = lex_shortest_path(view, src, goal, blocked)
+        assert got == _Search(view, src, blocked).path(goal)
+        if goal not in full:
+            full[goal] = ref_bfs_dists(base, goal, frozenset())
+        want, kept = full[goal], roadmap.goal_hops[goal]
+        if isinstance(kept, tuple):
+            dist, frontier, depth = kept
+            assert dist[src] == want[src]  # settled
+            assert sorted(frontier) == sorted(v for v, d in want.items() if d == depth)
+        else:
+            dist, depth = kept, n
+        assert {v: d for v, d in enumerate(dist) if d < n} == {
+            v: d for v, d in want.items() if d <= depth
+        }
+    for goal, want in full.items():
+        assert list(roadmap.hops_to(goal)) == [want.get(v, n) for v in range(n)]
