@@ -17,9 +17,7 @@ import os
 import random
 import time
 from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Instance, Roadmap, edge_key
 from .solver import FAILED, LA, NAIVE, SOLVED, TIMEOUT, SolverConfig, solve
@@ -36,16 +34,14 @@ class BenchSoundnessError(RuntimeError):
     """A plan reported as solved failed independent validation."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """An ordered list of start/goal pairs on a named roadmap."""
 
     roadmap_name: str
     pairs: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class RoadmapPreset:
+class RoadmapPreset(NamedTuple):
     n_vertices: int
     target_degree: float
     min_separation: float
@@ -284,8 +280,7 @@ def instance_from_scenario(
 # -- benchmarking -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchRow:
+class BenchRow(NamedTuple):
     roadmap: str
     mode: str
     n: int
@@ -296,8 +291,7 @@ class BenchRow:
     mean_ms: float
 
 
-@dataclass(frozen=True)
-class BenchReport:
+class BenchReport(NamedTuple):
     rows: tuple[BenchRow, ...]
 
     CSV_HEADER = "roadmap,mode,n,solved,failed,timeout,success_rate,mean_ms"
@@ -388,6 +382,9 @@ def run_bench(
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_set_worker_roadmaps,

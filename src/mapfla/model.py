@@ -16,7 +16,8 @@ radius check (:func:`radius_issues`), the edge list check
 (:attr:`Roadmap.edge_issues`) and the start/goal assignment check
 (:func:`assignment_issues`) serve roadmap validation, the plan validator and
 the oracle.  One pass over the edge list gives the edge list check, the
-edge set and the adjacency together.
+edge set and the adjacency together, and one pass over the points gives the
+x order and the coordinate check.
 
 Conventions used throughout the package:
 
@@ -32,9 +33,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
@@ -49,7 +49,6 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
 class Roadmap:
     """Graph embedded in the plane: vertex coordinates plus undirected edges.
 
@@ -57,31 +56,54 @@ class Roadmap:
     entries) so that :func:`validate_roadmap` can report them; derived
     structures below assume a roadmap that passed validation.  Each is
     computed once and kept; none refers back to the roadmap, so an unused
-    roadmap is freed at once, without the cyclic collector.  The caches
-    filled by solves and validations (``interference_tables``, ``goal_hops``
-    and ``edge_bands``) are left out of ``__init__``, ``repr`` and ``==``.
+    roadmap is freed at once, without the cyclic collector.
+
+    A roadmap is immutable: assigning to an attribute raises.  Only
+    ``points`` and ``edge_list`` are passed in, shown by ``repr`` and
+    compared by ``==`` and ``hash``.  The caches filled by solves and
+    validations (``interference_tables``, ``goal_hops`` and ``edge_bands``)
+    start empty, and a pickled roadmap takes its caches and tables along.
     """
 
     points: tuple[Point2D, ...]
     edge_list: tuple[tuple[int, int], ...]
     # The solver's InterferenceCache per agent radius, added by the first
     # solve at that radius and shared by every later one.
-    interference_tables: dict[float, InterferenceCache] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    interference_tables: dict[float, InterferenceCache]
     # Per goal vertex, the BFS of ``hops_to``: its distance list, last layer
     # and depth while it grows, the finished ``array`` once it is exhausted.
-    goal_hops: dict[int, array | tuple[list[int], list[int], int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    goal_hops: dict[int, array | tuple[list[int], list[int], int]]
     # The plan validator's own band table (``validator.EdgeBands``) per agent
     # radius, added by the first validation at that radius.
-    edge_bands: dict[float, EdgeBands] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _separation_lines: dict[float, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    edge_bands: dict[float, EdgeBands]
+    _separation_lines: dict[float, tuple[str, ...]]
+
+    def __init__(
+        self, points: tuple[Point2D, ...], edge_list: tuple[tuple[int, int], ...]
+    ):
+        # Written past ``__setattr__``, as ``cached_property`` writes its values.
+        self.__dict__.update(
+            points=points,
+            edge_list=edge_list,
+            interference_tables={},
+            goal_hops={},
+            edge_bands={},
+            _separation_lines={},
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to Roadmap.{name}: a roadmap is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.points, self.edge_list) == (other.points, other.edge_list)
+
+    def __hash__(self) -> int:
+        return hash((self.points, self.edge_list))
+
+    def __repr__(self) -> str:
+        return f"Roadmap(points={self.points!r}, edge_list={self.edge_list!r})"
 
     @property
     def n_vertices(self) -> int:
@@ -105,13 +127,9 @@ class Roadmap:
 
     @cached_property
     def x_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Ids of the finite vertices sorted by x, and their x coordinates."""
-        pts = self.points
-        order = tuple(sorted(
-            (v for v, (x, y) in enumerate(pts) if math.isfinite(x) and math.isfinite(y)),
-            key=lambda v: pts[v][0],
-        ))
-        return order, tuple(pts[v][0] for v in order)
+        """Ids of the finite vertices sorted by x, ties in id order, and
+        their x coordinates."""
+        return self._point_tables()[0]
 
     @cached_property
     def edge_issues(self) -> tuple[str, ...]:
@@ -155,11 +173,29 @@ class Roadmap:
     @cached_property
     def vertex_issues(self) -> tuple[str, ...]:
         """One line per vertex with a non-finite coordinate, in id order."""
-        return tuple([
-            f"vertex {v} has non-finite coordinates ({x!r}, {y!r})"
-            for v, (x, y) in enumerate(self.points)
-            if not (math.isfinite(x) and math.isfinite(y))
-        ])
+        return self._point_tables()[1]
+
+    def _point_tables(
+        self,
+    ) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], tuple[str, ...]]:
+        """``x_order`` and ``vertex_issues`` from one pass over the points,
+        both stored at once, as :meth:`_edge_tables` stores its three."""
+        isfinite = math.isfinite
+        pts = self.points
+        order: list[int] = []
+        issues: list[str] = []
+        for v, (x, y) in enumerate(pts):
+            if isfinite(x) and isfinite(y):
+                order.append(v)
+            else:
+                issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
+        # A stable sort keyed by a bound method: equal x stay in id order,
+        # and no Python-level key function runs.
+        xs = [p[0] for p in pts]
+        order.sort(key=xs.__getitem__)
+        tables = (tuple(order), tuple(map(xs.__getitem__, order))), tuple(issues)
+        self.__dict__.update(zip(("x_order", "vertex_issues"), tables))
+        return tables
 
     def separation_issues(self, radius: float) -> tuple[str, ...]:
         """One line per pair of finite vertices not strictly farther apart
@@ -231,8 +267,7 @@ class Roadmap:
         return hops
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A solvable-or-not problem: roadmap, agent radius, start and goal vertices."""
 
     roadmap: Roadmap
@@ -245,15 +280,13 @@ class Instance:
         return len(self.starts)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Injective assignment of agents to vertices; ``positions[i]`` is agent i's vertex."""
 
     positions: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One agent traversing one edge."""
 
     agent: int
@@ -317,8 +350,7 @@ class InterferenceCache(dict):
         return band
 
 
-@dataclass(frozen=True)
-class InstanceReport:
+class InstanceReport(NamedTuple):
     """Outcome of :func:`validate_roadmap`: ok flag plus one line per violation."""
 
     ok: bool

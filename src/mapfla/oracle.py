@@ -14,8 +14,8 @@ and 7 agents on 16 vertices 0.1 s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .model import Instance, Move, Plan
 from .validator import edge_bands, instance_issues
@@ -25,8 +25,7 @@ UNSOLVABLE = "unsolvable"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     status: str  # solved | unsolvable | budget_exceeded
     plan: Plan | None
     expanded: int

@@ -23,7 +23,7 @@ edge only test whether the target or one of those vertices is occupied.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import EPS, clearance_threshold, segdist
 from .model import Edge, Instance, Move, Plan, State, edge_key
@@ -103,16 +103,19 @@ def is_valid_transition(state: State, move: Move, instance: Instance) -> bool:
         return False
     occupant = {v: agent for agent, v in enumerate(state.positions)}
     bands = edge_bands(instance)
-    return _transition_error(state.positions, occupant, move, bands) is None
+    return _transition_error(state.positions, occupant, *move, bands) is None
 
 
-def _transition_error(positions, occupant, move: Move, bands: EdgeBands) -> str | None:
-    """Why ``move`` is illegal, naming the lowest-indexed agent in its way."""
-    src, dst = move.src, move.dst
-    if not 0 <= move.agent < len(positions):
-        return f"no agent {move.agent}"
-    if positions[move.agent] != src:
-        return f"agent {move.agent} is at vertex {positions[move.agent]}, not {src}"
+def _transition_error(
+    positions, occupant, agent: int, src: int, dst: int, bands: EdgeBands
+) -> str | None:
+    """Why the move of ``agent`` from ``src`` to ``dst`` is illegal, naming
+    the lowest-indexed agent in its way.  A move comes in unpacked: a tuple
+    unpack costs less than reading its fields by name."""
+    if not 0 <= agent < len(positions):
+        return f"no agent {agent}"
+    if positions[agent] != src:
+        return f"agent {agent} is at vertex {positions[agent]}, not {src}"
     key = edge_key(src, dst)
     if key not in bands.edge_set:
         return f"no edge between {src} and {dst}"
@@ -128,8 +131,7 @@ def _transition_error(positions, occupant, move: Move, bands: EdgeBands) -> str 
     )
 
 
-@dataclass(frozen=True)
-class PlanReport:
+class PlanReport(NamedTuple):
     """First-failure report from :func:`validate_plan`.
 
     ``failed_index`` is the offending move's position, ``len(plan)`` when
@@ -156,12 +158,12 @@ def validate_plan(instance: Instance, plan: Plan) -> PlanReport:
     positions = list(instance.starts)
     occupant = {v: agent for agent, v in enumerate(positions)}
     bands = edge_bands(instance)
-    for i, move in enumerate(plan):
-        err = _transition_error(positions, occupant, move, bands)
+    for i, (agent, src, dst) in enumerate(plan):
+        err = _transition_error(positions, occupant, agent, src, dst, bands)
         if err is not None:
             return PlanReport(ok=False, failed_index=i, reason=f"move {i}: {err}")
-        positions[move.agent] = move.dst
-        occupant[move.dst] = occupant.pop(move.src)
+        positions[agent] = dst
+        occupant[dst] = occupant.pop(src)
     for agent, goal in enumerate(instance.goals):
         if positions[agent] != goal:
             return PlanReport(

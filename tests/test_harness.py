@@ -1,5 +1,5 @@
+import concurrent.futures
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -249,7 +249,7 @@ class _RecordingPool:
 )
 def test_run_bench_caps_workers_at_cpus_and_tasks(monkeypatch, jobs, cpus, workers):
     # 24 tasks: 2 modes x 3 agent counts x 4 scenarios.
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "created", [])
     # The in-process initializer sets the worker's roadmaps; undo it after.
@@ -273,7 +273,7 @@ def test_run_bench_sends_each_roadmap_to_a_worker_once(monkeypatch):
             sent.append(list(tasks))
             return map(fn, sent[-1])
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(harness, "_worker_roadmaps", {})
@@ -284,15 +284,15 @@ def test_run_bench_sends_each_roadmap_to_a_worker_once(monkeypatch):
     assert all(task[0] == "tiny" for task in tasks)
     assert not any(isinstance(x, Roadmap) for task in tasks for x in task)
     serial = _small_bench().rows
-    assert [replace(r, mean_ms=0) for r in report.rows] == [
-        replace(r, mean_ms=0) for r in serial
+    assert [r._replace(mean_ms=0) for r in report.rows] == [
+        r._replace(mean_ms=0) for r in serial
     ]
 
 
 @pytest.mark.parametrize("jobs, workers", [(1, []), (2, [2])], ids=["serial", "pool"])
 def test_a_rejected_plan_aborts_the_bench_naming_its_task(monkeypatch, jobs, workers):
     # The validator rejects the plan of scenario 2 at n = 4, which la solves.
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(harness, "_worker_roadmaps", {})

@@ -123,6 +123,42 @@ def test_x_order_is_the_finite_vertices_by_x_sorted_once_per_roadmap():
     assert rm.x_order is rm.x_order
 
 
+def ref_x_order(points):
+    order = tuple(sorted(
+        (v for v, (x, y) in enumerate(points) if math.isfinite(x) and math.isfinite(y)),
+        key=lambda v: points[v][0],
+    ))
+    return order, tuple(points[v][0] for v in order)
+
+
+def ref_vertex_issues(points):
+    return tuple(
+        f"vertex {v} has non-finite coordinates ({x!r}, {y!r})"
+        for v, (x, y) in enumerate(points)
+        if not (math.isfinite(x) and math.isfinite(y))
+    )
+
+
+# Few distinct values, so that x ties (0.0 against -0.0 too) are common.
+_coords = st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan, math.inf, -math.inf]) | st.floats(-3, 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.tuples(_coords, _coords), max_size=10),
+    st.sampled_from(["x_order", "vertex_issues"]),
+)
+def test_one_point_pass_gives_the_two_separate_passes(points, first):
+    """Whichever is read first, the one pass over the points gives the x
+    order (ties in id order) and the coordinate lines that two separate
+    scans gave, and both are kept."""
+    rm = make_roadmap(points, [])
+    getattr(rm, first)
+    assert repr(rm.x_order) == repr(ref_x_order(rm.points))
+    assert rm.vertex_issues == ref_vertex_issues(rm.points)
+    assert {"x_order", "vertex_issues"} <= vars(rm).keys()
+
+
 def exhaustive_pair_issues(points, r):
     """The separation check as an all-pairs double loop: the reference the
     sweep in ``validate_roadmap`` must equal, line for line."""

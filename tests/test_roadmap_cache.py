@@ -9,7 +9,6 @@ from __future__ import annotations
 import gc
 import math
 import weakref
-from dataclasses import replace
 
 import pytest
 
@@ -87,7 +86,7 @@ def test_shared_roadmap_gives_the_plans_of_fresh_copies_on_toys(n_vertices, n_ag
         order = ("naive", "la", "naive")
         shared += [_outcome(inst, mode) for mode in order]
         fresh += [
-            _outcome(replace(inst, roadmap=_copy(inst.roadmap)), mode) for mode in order
+            _outcome(inst._replace(roadmap=_copy(inst.roadmap)), mode) for mode in order
         ]
     assert shared == fresh
 
@@ -210,7 +209,7 @@ def test_the_validators_band_table_is_kept_per_radius(monkeypatch):
     assert (roadmap.edge_bands[radius], len(table), tests) == (table, held, [])
     # Another radius gets its own table, and a fresh copy gives the same report.
     small = instance_from_scenario(roadmap, 0.3, scen, 30)
-    assert validate_plan(small, plan) == validate_plan(replace(small, roadmap=_copy(roadmap)), plan)
+    assert validate_plan(small, plan) == validate_plan(small._replace(roadmap=_copy(roadmap)), plan)
     assert tests and sorted(roadmap.edge_bands) == [0.3, radius]
     assert roadmap.edge_bands[0.3] is not table and len(table) == held
 
