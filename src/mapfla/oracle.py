@@ -6,10 +6,7 @@ validator enforces, so it is complete (within its node budget) where the
 solver is not.  It is an A* search (Hart, Nilsson & Raphael, 1968) guided by
 the sum of the agents' hop distances to their goals, the admissible MAPF
 heuristic Standley (AAAI 2010) builds on; an unsolvable instance still costs
-the whole reachable component, up to ``|V|^K`` states.  On a shared 2-core
-host (Python 3.11) with the goals' hop arrays already on the roadmap, a
-12-vertex 3-agent toy takes 0.4 ms on average, 5 agents on 16 vertices 7 ms
-and 7 agents on 16 vertices 0.1 s.
+the whole reachable component, up to ``|V|^K`` states.
 """
 
 from __future__ import annotations
@@ -32,8 +29,8 @@ class OracleResult(NamedTuple):
 
 
 def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleResult:
-    """A* search over joint states.  It replaced a breadth-first search and
-    keeps its name, which ``perfbench`` calls and traces.
+    """A* search over joint states, under a name that ``perfbench`` calls
+    and traces.
 
     Returns a move-count-minimal plan when the goal is reachable, reports
     ``unsolvable`` only after the whole reachable component was enumerated,

@@ -14,27 +14,27 @@ uses, so each ordering starts from the instance's starts and ``ws.stats``
 counts the whole call.  Every move goes through ``try_move``, which checks
 the full transition, so a returned plan is valid by construction.
 
-Lex paths come from first discoverers.  A search (``_Search``) is a forward
-BFS over sorted adjacency with a FIFO queue, so each vertex's first
-discoverer is its parent on its lexicographically smallest shortest path,
-whatever the search's extent: one search of a view answers every path in it,
-as a fresh reverse BFS from each target plus a greedy walk would.
+Lex paths come from first discoverers.  A search (``_Search``,
+``_layered_path``) is a forward BFS over sorted adjacency in FIFO order, so
+each vertex's first discoverer is its parent on its lexicographically
+smallest shortest path, whatever the search's extent: one search of a view
+answers every path in it, as a fresh reverse BFS from each target plus a
+greedy walk would.
 
 Pruning.  The outer loop replans each agent's path toward its goal many
 times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
 distances h (``Roadmap.hops_to``), a BFS from the goal grown only until the
 source is settled: at D = h(src), every vertex within D hops holds its h and
 every other one reads ``n_vertices``.  A roadmap hop distance is a lower
-bound in every view, so a search that must reach the goal in D hops keeps a
-vertex found at hop k only if h <= D - k < D, which no unsettled vertex
-passes: the vertices of every shortest path, and hence their first
-discoverers, survive, and the path is the one the full search gives.  When
-locked agents or banned edges make every path longer than D, the pruned
-search misses the goal and the full ``_Search`` runs instead.  D is never
-raised a hop at a time: locked agents force detours many hops long, and a
-search per hop costs far more than one full search.  The pruned search
-reads the roadmap's adjacency and the view's removed edges only, so its
-view must hold no ``near`` vertices; the outer loop's views never do.
+bound whatever is blocked or banned, so a search that must reach the goal
+in D hops keeps a vertex found at hop k only if h <= D - k < D, which no
+unsettled vertex passes: the vertices of every shortest path, and hence
+their first discoverers, survive, and the path is the one the full search
+gives.  When locked agents or banned edges make every path longer than D,
+the pruned search misses the goal and the same loop runs again with a zero
+bound, which admits every vertex.  D is never raised a hop at a time:
+locked agents force detours many hops long, and a search per hop costs far
+more than one full search.
 
 Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
 goals, one set for the pass: each stands on its goal when the call starts,
@@ -175,11 +175,7 @@ class GraphView:
         self.removed = removed
         self.near = near
         self.bands = bands
-        masked: dict[int, set[int]] = {}
-        for u, v in removed:
-            masked.setdefault(u, set()).add(v)
-            masked.setdefault(v, set()).add(u)
-        self._masked = masked
+        self._masked = _edge_masks(removed)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         base = self.roadmap.adjacency[v]
@@ -200,10 +196,7 @@ class GraphView:
         return not self.near or self.near.isdisjoint(self.bands[e])
 
     def without(self, edges) -> "GraphView":
-        extra = frozenset(edges)
-        if not extra:
-            return self
-        return GraphView(self.roadmap, self.bands, self.removed | extra, self.near)
+        return GraphView(self.roadmap, self.bands, self.removed.union(edges), self.near)
 
     def avoiding(self, v: int) -> "GraphView":
         """This view with every edge whose band holds ``v`` masked too."""
@@ -254,33 +247,46 @@ def _walk_back(parent: dict[int, int], dst: int) -> list[int]:
     return path[::-1]
 
 
-def lex_shortest_path(
-    view: GraphView, src: int, dst: int, blocked: frozenset[int]
-) -> list[int] | None:
-    """The path :meth:`_Search.path` gives, found first by a search pruned
-    with the roadmap's hop distances to ``dst`` (see the module docstring);
-    a path longer than the roadmap's hop distance gets the full
-    :class:`_Search`.  ``view`` must hold no ``near`` vertices: the pruned
-    search reads the roadmap's adjacency and the view's removed edges only.
-    """
-    hops = view.roadmap.hops_to(dst, src)
-    if hops[src] == len(hops) or src in blocked or dst in blocked:
-        return None
-    adjacency, masked = view.roadmap.adjacency, view._masked
-    parent = {src: src}
-    frontier = [src]
-    for left in range(hops[src] - 1, -1, -1):  # hops left to dst after this layer
+def _edge_masks(edges: AbstractSet[Edge]) -> dict[int, set[int]]:
+    """Each endpoint of ``edges`` mapped to the other ends of its edges."""
+    masked: dict[int, set[int]] = {}
+    for u, v in edges:
+        masked.setdefault(u, set()).add(v)
+        masked.setdefault(v, set()).add(u)
+    return masked
+
+
+def _layered_path(adjacency, bound, depth: int, src: int, dst: int, blocked, masked):
+    """The lex shortest path of at most ``depth`` hops off ``blocked`` and
+    ``masked`` whose vertex at hop k has ``bound`` <= ``depth - k``, or None."""
+    parent, frontier = {src: src}, [src]
+    for left in range(depth - 1, -1, -1):  # hops left to dst after this layer
         nxt = []
         for u in frontier:
             gone = masked.get(u, ())
             for w in adjacency[u]:
-                if hops[w] <= left and w not in parent and w not in blocked and w not in gone:
+                if bound[w] <= left and w not in parent and w not in blocked and w not in gone:
                     parent[w] = u
                     nxt.append(w)
+        if dst in parent or not nxt:
+            break
         frontier = nxt
-    if dst in parent:
-        return _walk_back(parent, dst)
-    return _Search(view, src, blocked).path(dst)
+    return _walk_back(parent, dst) if dst in parent else None
+
+
+def lex_shortest_path(
+    roadmap: Roadmap, src: int, dst: int, blocked: AbstractSet[int], banned=frozenset()
+) -> list[int] | None:
+    """The lex shortest path off ``blocked`` and the edges of ``banned``, or
+    None: a search pruned by the roadmap's hop distances to ``dst`` (see the
+    module docstring) and, if that misses, the same search unbounded."""
+    hops = roadmap.hops_to(dst, src)
+    n = len(hops)
+    if hops[src] == n or src in blocked or dst in blocked:
+        return None
+    adjacency, masked = roadmap.adjacency, _edge_masks(banned)
+    path = _layered_path(adjacency, hops, hops[src], src, dst, blocked, masked)
+    return path or _layered_path(adjacency, bytes(n), n, src, dst, blocked, masked)
 
 
 class Workspace:
@@ -725,8 +731,7 @@ def _plan_agent(
                 break
             seen[key] = len(ws.plan)
             ws.check_time()
-            view = base.without(banned)
-            path = lex_shortest_path(view, ws.pos[agent], goal, hard)
+            path = lex_shortest_path(base.roadmap, ws.pos[agent], goal, hard, banned)
             if path is None:
                 break
             # The first step starts at the agent's own vertex, so every round

@@ -5,10 +5,10 @@ a time on demand (``_Search``), one per view.  These tests hold it to the
 search it replaced: a full BFS ranking every vertex by ``(hops, id)`` and, per
 target, a fresh reverse BFS from the target followed by a greedy walk over
 sorted adjacency.  Reference copies of both live here only.  The outer
-loop's ``lex_shortest_path`` prunes its search with the roadmap's hop
-distances to the goal and runs ``_Search`` only when that misses; it is held
-to the same reference, its fallback to the cases that need it, and its
-callers to views without ``near`` vertices.
+loop's ``lex_shortest_path`` runs one layered loop (``_layered_path``) pruned
+by the roadmap's hop distances to the goal, and runs the same loop again
+without the bound only when that misses; it is held to the same reference,
+and its second run to the cases that need it.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from helpers import toy_instance
 from mapfla import solver
-from mapfla.harness import gen_preset, gen_scenario, instance_from_scenario
+from mapfla.harness import gen_preset
 from mapfla.model import Instance, InterferenceCache, make_roadmap
 from mapfla.solver import (
     GraphView,
-    SolverConfig,
     Workspace,
     _Search,
     lex_shortest_path,
-    solve,
 )
 
 
@@ -97,9 +94,9 @@ def searches(draw, max_vertices: int = 12):
 def test_lex_shortest_path_matches_reverse_bfs_greedy(search):
     view, src, blocked = search
     for dst in range(view.roadmap.n_vertices):
-        assert lex_shortest_path(view, src, dst, blocked) == ref_lex_shortest_path(
-            view, src, dst, blocked
-        )
+        assert lex_shortest_path(
+            view.roadmap, src, dst, blocked, view.removed
+        ) == ref_lex_shortest_path(view, src, dst, blocked)
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,21 +134,15 @@ def test_unreachable_target_gives_none(search):
     reachable = ref_bfs_dists(view, src, blocked)
     for dst in range(view.roadmap.n_vertices):
         if dst not in reachable:
-            assert lex_shortest_path(view, src, dst, blocked) is None
+            assert lex_shortest_path(view.roadmap, src, dst, blocked, view.removed) is None
 
 
 def searched(view, src, dst, blocked):
-    """``lex_shortest_path``'s answer, and whether it ran the full search."""
-    made = []
-
-    class Counted(_Search):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    with mock.patch.object(solver, "_Search", Counted):
-        path = lex_shortest_path(view, src, dst, blocked)
-    return path, bool(made)
+    """``lex_shortest_path``'s answer, and whether it ran the full search:
+    a second run of its layered loop is the unbounded one."""
+    with mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop:
+        path = lex_shortest_path(view.roadmap, src, dst, blocked, view.removed)
+    return path, loop.call_count == 2
 
 
 def roadmap_hops(view, src, dst):
@@ -199,37 +190,6 @@ def test_pruned_search_on_two_routes(src, dst, blocked, masked, want, fell_back)
     blocked = frozenset(blocked)
     assert ref_lex_shortest_path(view, src, dst, blocked) == want
     assert searched(view, src, dst, blocked) == (want, fell_back)
-
-
-@pytest.mark.parametrize("mode", ["la", "naive"])
-def test_the_outer_loop_hands_the_pruned_search_no_near_vertices(monkeypatch, mode):
-    """The pruned search ignores ``GraphView.near``, so every view its one
-    caller, ``_plan_agent``, hands it must have none, though the pushes of
-    the same solves build views that do.  Checked on the la n = 40 cell of
-    criterion 6 and on the 12-vertex 5-agent toy family."""
-    nears, near_views = [], []
-    search, avoiding = solver.lex_shortest_path, GraphView.avoiding
-
-    def recording_search(view, *args):
-        nears.append(view.near)
-        return search(view, *args)
-
-    def recording_avoiding(view, v):
-        near_views.append(v)
-        return avoiding(view, v)
-
-    monkeypatch.setattr(solver, "lex_shortest_path", recording_search)
-    monkeypatch.setattr(GraphView, "avoiding", recording_avoiding)
-    roadmap, radius = gen_preset("sparse-like", 0)
-    instances = [
-        instance_from_scenario(roadmap, radius, gen_scenario(roadmap, 40, seed=i), 40)
-        for i in range(25)
-    ]
-    instances += [toy_instance(seed, 12, 5) for seed in range(1000)]
-    for instance in instances:
-        solve(instance, SolverConfig(mode=mode, time_limit=10.0))
-    assert nears and not any(nears)
-    assert bool(near_views) == (mode != "naive")  # naive clears nothing
 
 
 def ref_push_off(ws, g, src, path_blocked, acceptable, push):
@@ -310,7 +270,7 @@ def test_goal_hops_grown_to_the_source_give_the_full_searchs_paths(preset, seed)
         banned = rng.sample(roadmap.edge_list, rng.randrange(4))
         blocked = frozenset(rng.sample(range(n), rng.randrange(4)))
         view = base.without(banned)
-        got = lex_shortest_path(view, src, goal, blocked)
+        got = lex_shortest_path(view.roadmap, src, goal, blocked, view.removed)
         assert got == _Search(view, src, blocked).path(goal)
         if goal not in full:
             full[goal] = ref_bfs_dists(base, goal, frozenset())

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import re
 import sys
 import time
@@ -109,6 +110,26 @@ def test_a_bad_restart_spec_is_rejected(order, message):
     with pytest.raises(ValueError) as raised:
         solve(ordering_instance(), cfg(order=order))
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "count, seed, k, want",
+    [
+        (4, 0, 3, 3),  # the second shuffle repeats the first: 3 orderings, not 4
+        (3, 5, 2, 1),  # both shuffles give the identity back
+        (8, 1, 3, 4),
+        (30, 2, 4, 17),
+        (50, 0, 3, 6),  # every ordering, then no more shuffles
+        (1, 7, 5, 1),
+    ],
+    ids=["repeat-skipped", "only-repeats", "k3", "k4", "all-of-k3", "identity-only"],
+)
+def test_restarts_yield_distinct_orderings_identity_first(count, seed, k, want):
+    orders = list(_orderings(cfg(order=f"random-restarts:{count}:{seed}"), k))
+    assert orders[0] == tuple(range(k))
+    assert all(sorted(order) == list(range(k)) for order in orders)
+    assert len(set(orders)) == len(orders) == want
+    assert want <= min(count, math.factorial(k))
 
 
 def test_restarts_stop_once_every_ordering_was_tried():
@@ -347,7 +368,7 @@ def _plan_agent_every_round(
             rounds += 1
             ws.check_time()
             view = base.without(frozenset(banned)) if banned else base
-            path = lex_shortest_path(view, ws.pos[agent], goal, hard)
+            path = lex_shortest_path(view.roadmap, ws.pos[agent], goal, hard, view.removed)
             if path is None:
                 break
             advanced = False

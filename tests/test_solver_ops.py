@@ -179,6 +179,20 @@ def test_push_to_empty_single_adjacent_push():
     assert ws.plan == [Move(2, 3, 4)]
 
 
+@pytest.mark.parametrize(
+    "agent, u, v",
+    [(0, 0, 4), (1, 2, 1), (1, 2, 5)],
+    ids=["not-adjacent", "not-adjacent-other-agent", "missing-vertex"],
+)
+def test_try_move_along_a_non_edge_changes_nothing(agent, u, v):
+    # The mover stands on u and v is free, so only the edge test refuses it.
+    ws, _ = make_ws(chain_clear_instance())
+    assert ws.try_move(2, 3, 4)
+    before = (list(ws.pos), dict(ws.at), list(ws.plan))
+    assert not ws.try_move(agent, u, v)
+    assert (ws.pos, ws.at, ws.plan) == before
+
+
 def test_cleaning_trivial_when_interferers_unoccupied():
     inst = chain_clear_instance()
     ws, base = make_ws(inst)
@@ -428,9 +442,9 @@ def test_lex_shortest_path_prefers_smallest_ids():
         [(0, 0), (1, 1), (1, -1), (2, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
     view = GraphView(rm, InterferenceCache(rm, 0.25))
-    assert lex_shortest_path(view, 0, 3, frozenset()) == [0, 1, 3]
-    assert lex_shortest_path(view, 0, 3, frozenset({1})) == [0, 2, 3]
-    assert lex_shortest_path(view, 0, 3, frozenset({1, 2})) is None
+    assert lex_shortest_path(view.roadmap, 0, 3, frozenset(), view.removed) == [0, 1, 3]
+    assert lex_shortest_path(view.roadmap, 0, 3, frozenset({1}), view.removed) == [0, 2, 3]
+    assert lex_shortest_path(view.roadmap, 0, 3, frozenset({1, 2}), view.removed) is None
 
 
 def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
@@ -439,7 +453,7 @@ def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
         [(i, 0) for i in range(6)], [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
     )
     view = GraphView(rm, InterferenceCache(rm, 0.25))
-    assert lex_shortest_path(view, 0, 5, frozenset()) == [0, 1, 4, 5]
+    assert lex_shortest_path(view.roadmap, 0, 5, frozenset(), view.removed) == [0, 1, 4, 5]
 
 
 # -- fuzzed contracts (smoke scale; acceptance runs these big) --------------------
