@@ -1,12 +1,12 @@
 """Solver for pathfinding with large disk agents on embedded roadmaps.
 
 An agent traversing an edge collides with any stationary agent whose vertex
-lies within ``2r`` of the swept segment, so every ``la`` traversal runs
-through ``Workspace.move_la`` and ``naive`` mode is the baseline without
-it.  Interference that can be escaped only through the traversal's target
-vertex cannot be undone: it is counted as a case-3 failure, and the solver
-is deliberately incomplete there.  The invariants below are the ones the
-code does not show.
+lies within ``2r`` of the swept segment, so an ``la`` traversal with an
+agent in that band runs through ``Workspace.move_la`` and ``naive`` mode is
+the baseline without it.  Interference that can be escaped only through the
+traversal's target vertex cannot be undone: it is counted as a case-3
+failure, and the solver is deliberately incomplete there.  The invariants
+below are the ones the code does not show.
 
 One workspace per solve.  ``solve`` builds one :class:`Workspace` and
 starts every ordering with ``rollback(0)``, the exact undo every failure
@@ -26,15 +26,17 @@ times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
 distances h (``Roadmap.hops_to``), a BFS from the goal grown only until the
 source is settled: at D = h(src), every vertex within D hops holds its h and
 every other one reads ``n_vertices``.  A roadmap hop distance is a lower
-bound whatever is blocked or banned, so a search that must reach the goal
-in D hops keeps a vertex found at hop k only if h <= D - k < D, which no
-unsettled vertex passes: the vertices of every shortest path, and hence
-their first discoverers, survive, and the path is the one the full search
-gives.  When locked agents or banned edges make every path longer than D,
-the pruned search misses the goal and the same loop runs again with a zero
-bound, which admits every vertex.  D is never raised a hop at a time:
-locked agents force detours many hops long, and a search per hop costs far
-more than one full search.
+bound whatever is blocked or banned, so ``_hop_walk`` walks depth first over
+sorted adjacency and enters a vertex at hop k only if h <= D - k: a path it
+completes is a shortest one, and the first is the lexicographically
+smallest, the full search's.  A vertex left without reaching the goal fails
+again with any budget of hops no larger, so the walk records each one's
+budget and tries each (vertex, budget) pair once.  When locked agents or
+banned edges make every path longer than D, the walk runs once more at
+D + 1, still exactly: from hop 1 on it needs h <= D, and every vertex within
+D hops is settled.  At D + 2 it would need h <= D + 1, which an unsettled
+vertex would fail wrongly, so a second miss runs the full BFS
+(``_layered_path``).
 
 Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
 goals, one set for the pass: each stands on its goal when the call starts,
@@ -122,6 +124,8 @@ class SolverConfig(NamedTuple):
 
 class SolveStats(SimpleNamespace):
     """Counters of one ``solve`` call, zero unless given by keyword.
+    ``move_la_calls`` counts the calls of :meth:`Workspace.move_la`: a free
+    step of the outer loop is one checked move and makes none.
     ``bands_computed`` counts the edge bands this call added to the
     roadmap's interference table: 0 when earlier solves on the same
     ``Roadmap`` object had computed every band it read.
@@ -256,20 +260,43 @@ def _edge_masks(edges: AbstractSet[Edge]) -> dict[int, set[int]]:
     return masked
 
 
-def _layered_path(adjacency, bound, depth: int, src: int, dst: int, blocked, masked):
-    """The lex shortest path of at most ``depth`` hops off ``blocked`` and
-    ``masked`` whose vertex at hop k has ``bound`` <= ``depth - k``, or None."""
+def _hop_walk(adjacency, hops, depth: int, src: int, dst: int, blocked, masked):
+    """The lex-first path of at most ``depth`` hops off ``blocked`` and
+    ``masked`` whose vertex at hop k has ``hops`` <= ``depth - k``, or None:
+    a depth-first walk over sorted adjacency that enters no vertex with a
+    hop budget no larger than one it already failed with."""
+    if src == dst:
+        return [src]
+    path, todo = [src], [iter(adjacency[src])]
+    failed: dict[int, int] = {}  # vertex -> largest budget it failed with
+    while todo:
+        left = depth - len(path)  # hops left to dst after the next one
+        gone = masked.get(path[-1], ())
+        for w in todo[-1]:
+            if hops[w] <= left and w not in blocked and w not in gone and failed.get(w, -1) < left:
+                path.append(w)
+                if w == dst:
+                    return path
+                todo.append(iter(adjacency[w]))
+                break
+        else:
+            todo.pop()
+            failed[path.pop()] = left + 1
+    return None
+
+
+def _layered_path(adjacency, src: int, dst: int, blocked, masked):
+    """The lex shortest path off ``blocked`` and ``masked``, or None: a BFS
+    that stops at the layer holding ``dst``."""
     parent, frontier = {src: src}, [src]
-    for left in range(depth - 1, -1, -1):  # hops left to dst after this layer
+    while dst not in parent and frontier:
         nxt = []
         for u in frontier:
             gone = masked.get(u, ())
             for w in adjacency[u]:
-                if bound[w] <= left and w not in parent and w not in blocked and w not in gone:
+                if w not in parent and w not in blocked and w not in gone:
                     parent[w] = u
                     nxt.append(w)
-        if dst in parent or not nxt:
-            break
         frontier = nxt
     return _walk_back(parent, dst) if dst in parent else None
 
@@ -278,15 +305,19 @@ def lex_shortest_path(
     roadmap: Roadmap, src: int, dst: int, blocked: AbstractSet[int], banned=frozenset()
 ) -> list[int] | None:
     """The lex shortest path off ``blocked`` and the edges of ``banned``, or
-    None: a search pruned by the roadmap's hop distances to ``dst`` (see the
-    module docstring) and, if that misses, the same search unbounded."""
+    None: a depth-first walk down the roadmap's hop distances to ``dst`` at
+    depth D = h(src), again at D + 1, and only then ``_layered_path`` (see
+    the module docstring)."""
     hops = roadmap.hops_to(dst, src)
-    n = len(hops)
-    if hops[src] == n or src in blocked or dst in blocked:
+    depth = hops[src]
+    if depth == len(hops) or src in blocked or dst in blocked:
         return None
     adjacency, masked = roadmap.adjacency, _edge_masks(banned)
-    path = _layered_path(adjacency, hops, hops[src], src, dst, blocked, masked)
-    return path or _layered_path(adjacency, bytes(n), n, src, dst, blocked, masked)
+    return (
+        _hop_walk(adjacency, hops, depth, src, dst, blocked, masked)
+        or _hop_walk(adjacency, hops, depth + 1, src, dst, blocked, masked)
+        or _layered_path(adjacency, src, dst, blocked, masked)
+    )
 
 
 class Workspace:
@@ -747,7 +778,10 @@ def _plan_agent(
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
                         break
-                if not ws.step(base, u, v):
+                # ``base`` masks nothing and ``v`` is free, so this checked
+                # move is the one ``move_la`` and the naive step each try
+                # first; ``step`` runs only when the band holds an agent.
+                if not (ws.try_move(agent, u, v) or ws.step(base, u, v)):
                     banned.add(edge_key(u, v))
                     break
                 advanced = True
@@ -777,6 +811,11 @@ def _outer_push(
     replans.  No chain enters ``hard``, the pass's blocked vertices: the
     locked agents' goals in the first pass, none in the second.
     """
-    tiers = (protect | {mover_vertex}, frozenset((mover_vertex,)), frozenset())
-    keys = dict.fromkeys((avoid | hard) - {head} for avoid in tiers)
-    return any(ws._push_off(base, head, key, frozenset(), 0) for key in keys)
+    tried: list[frozenset[int]] = []  # a tier equal to a failed one is skipped
+    for avoid in ((protect, (mover_vertex,)), ((mover_vertex,),), ()):
+        key = hard.union(*avoid) - {head}
+        if key not in tried:
+            if ws._push_off(base, head, key, frozenset(), 0):
+                return True
+            tried.append(key)
+    return False

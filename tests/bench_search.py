@@ -9,11 +9,15 @@ whose goals' hop tables the solves already grew:
 
 * ``criterion-6``: the n = 40 cell of criterion 6, the 25 scenarios of the
   sparse-like roadmap of seed 0;
+* ``sparse-crowded``: n = 56, 60, ..., 80 on the first 5 of those
+  scenarios, each drawn for 80 agents and truncated, as perfbench's
+  sparse-crowded workload builds them;
 * ``toys-12-5``: the 12-vertex 5-agent toys of seeds 0-199.
 
 Each replayed path must equal the recorded one.  ``extra_info`` gives the
-number of calls and how many of them ran the unbounded search after the
-pruned one missed.
+number of calls and how many of them each stage answered: the walk at the
+source's depth D (``D``), the walk at D + 1 (``D+1``) or the full BFS
+(``full``); the trivial calls no stage ran are left out.
 """
 
 from unittest import mock
@@ -26,35 +30,40 @@ from mapfla.harness import gen_preset, gen_scenario, instance_from_scenario
 from mapfla.solver import SolverConfig, solve
 
 
-def _criterion_6():
+def _sparse(pairs, scenarios, n_values):
     roadmap, radius = gen_preset("sparse-like", 0)
+    pool = [gen_scenario(roadmap, pairs, seed=i, name="sparse-like") for i in scenarios]
     return [
-        instance_from_scenario(
-            roadmap, radius, gen_scenario(roadmap, 40, seed=i, name="sparse-like"), 40
-        )
-        for i in range(25)
+        instance_from_scenario(roadmap, radius, scenario, n)
+        for n in n_values
+        for scenario in pool
     ]
 
 
 SETS = {
-    "criterion-6": _criterion_6,
+    "criterion-6": lambda: _sparse(40, range(25), (40,)),
+    "sparse-crowded": lambda: _sparse(80, range(5), range(56, 81, 4)),
     "toys-12-5": lambda: [toy_instance(seed, 12, 5) for seed in range(200)],
 }
 
 
 def _recorded_calls(instances):
     """Each ``lex_shortest_path`` call of the la solves of ``instances``, as
-    ``(args, path, unbounded)``, where ``unbounded`` says whether the call
-    ran its layered loop a second time, without the bound."""
+    ``(args, path, stage)``, where ``stage`` names the search that answered
+    (see the module docstring), None for a trivial call."""
     calls = []
     search = solver.lex_shortest_path
-    with mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop:
+    with (
+        mock.patch.object(solver, "_hop_walk", wraps=solver._hop_walk) as walk,
+        mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop,
+    ):
 
         def recording(roadmap, src, dst, blocked, banned=frozenset()):
             args = (roadmap, src, dst, blocked, frozenset(banned))
-            runs = loop.call_count
+            walks, loops = walk.call_count, loop.call_count
             path = search(*args)
-            calls.append((args, path, loop.call_count - runs == 2))
+            stage = (None, "D", "D+1")[walk.call_count - walks]
+            calls.append((args, path, "full" if loop.call_count > loops else stage))
             return path
 
         with mock.patch.object(solver, "lex_shortest_path", recording):
@@ -73,4 +82,5 @@ def test_replay_the_outer_loops_path_searches(benchmark, which):
     paths = benchmark.pedantic(replay, rounds=30, warmup_rounds=1)
     assert paths == [path for _, path, _ in calls]
     benchmark.extra_info["calls"] = len(calls)
-    benchmark.extra_info["unbounded"] = sum(unbounded for _, _, unbounded in calls)
+    for stage in ("D", "D+1", "full"):
+        benchmark.extra_info[stage] = sum(got == stage for _, _, got in calls)

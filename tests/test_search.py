@@ -5,10 +5,10 @@ a time on demand (``_Search``), one per view.  These tests hold it to the
 search it replaced: a full BFS ranking every vertex by ``(hops, id)`` and, per
 target, a fresh reverse BFS from the target followed by a greedy walk over
 sorted adjacency.  Reference copies of both live here only.  The outer
-loop's ``lex_shortest_path`` runs one layered loop (``_layered_path``) pruned
-by the roadmap's hop distances to the goal, and runs the same loop again
-without the bound only when that misses; it is held to the same reference,
-and its second run to the cases that need it.
+loop's ``lex_shortest_path`` walks depth-first down the roadmap's hop
+distances to the goal (``_hop_walk``) at the source's depth D, then at
+D + 1, and runs a full BFS (``_layered_path``) only when both miss; it is
+held to the same reference, and each stage to the paths it must answer.
 """
 
 from __future__ import annotations
@@ -138,11 +138,15 @@ def test_unreachable_target_gives_none(search):
 
 
 def searched(view, src, dst, blocked):
-    """``lex_shortest_path``'s answer, and whether it ran the full search:
-    a second run of its layered loop is the unbounded one."""
-    with mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop:
+    """``lex_shortest_path``'s answer, and the stage that gave it: ``"D"`` or
+    ``"D+1"`` for the first or second walk, ``"full"`` for the BFS, None when
+    no stage ran."""
+    with (
+        mock.patch.object(solver, "_hop_walk", wraps=solver._hop_walk) as walk,
+        mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop,
+    ):
         path = lex_shortest_path(view.roadmap, src, dst, blocked, view.removed)
-    return path, loop.call_count == 2
+    return path, "full" if loop.call_count else (None, "D", "D+1")[walk.call_count]
 
 
 def roadmap_hops(view, src, dst):
@@ -156,13 +160,15 @@ def test_pruned_search_falls_back_only_without_a_path_of_roadmap_length(search, 
     view, src, blocked = search
     dst %= view.roadmap.n_vertices
     want = ref_lex_shortest_path(view, src, dst, blocked)
-    got, fell_back = searched(view, src, dst, blocked)
+    got, stage = searched(view, src, dst, blocked)
     assert got == want
     hops = roadmap_hops(view, src, dst)
     # Answered without a search: off the roadmap's component, or blocked.
-    trivial = hops is None or src in blocked or dst in blocked
-    of_roadmap_length = want is not None and len(want) - 1 == hops
-    assert fell_back == (not trivial and not of_roadmap_length)
+    if hops is None or src in blocked or dst in blocked:
+        assert stage is None
+    else:
+        longer = None if want is None else len(want) - 1 - hops
+        assert stage == {0: "D", 1: "D+1"}.get(longer, "full")
 
 
 def _two_routes():
@@ -186,10 +192,45 @@ def _two_routes():
     ],
 )
 def test_pruned_search_on_two_routes(src, dst, blocked, masked, want, fell_back):
+    """``fell_back`` says the walk at D missed: a path found after that is
+    one hop longer here, and a miss after it is the full search's."""
     view = _two_routes().without(masked)
     blocked = frozenset(blocked)
     assert ref_lex_shortest_path(view, src, dst, blocked) == want
-    assert searched(view, src, dst, blocked) == (want, fell_back)
+    stage = ("D", "D+1") if want else (None, "full")
+    assert searched(view, src, dst, blocked) == (want, stage[fell_back])
+
+
+def test_an_answer_one_hop_longer_leaves_the_goals_table_growing():
+    """A blocked vertex makes the walk at D miss on a fresh roadmap; the walk
+    at D + 1 gives the reference's path from the table grown only until the
+    source was settled, which stays a growing ``(dist, frontier, depth)``."""
+    # 0-1-2-3 is D = 3 from 3 to the goal 0; 3-5-6-1 detours around 2, and
+    # the tail 3-7-8-9 is deeper than the source.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 5), (5, 6), (6, 1), (3, 7), (7, 8), (8, 9)]
+    roadmap = make_roadmap([(3.0 * i, 0.0) for i in range(10)], edges)
+    view = GraphView(roadmap, InterferenceCache(roadmap, 1.0))
+    blocked = frozenset((2,))
+    want = ref_lex_shortest_path(view, 3, 0, blocked)
+    assert want == [3, 5, 6, 1, 0]
+    assert searched(view, 3, 0, blocked) == (want, "D+1")
+    kept = roadmap.goal_hops[0]
+    assert isinstance(kept, tuple)
+    dist, frontier, depth = kept
+    assert (depth, sorted(frontier), dist[9]) == (3, [3, 5], 10)
+
+
+def test_a_path_two_hops_longer_comes_from_the_full_search():
+    """No walk runs past D + 1.  With 2 and 4 blocked, the only path from 3
+    to the goal 0 detours through 5 and 6, both at h = D = 3, and is two
+    hops longer than D: only the full search may give it."""
+    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (5, 6), (6, 7), (7, 1)]
+    roadmap = make_roadmap([(3.0 * i, 0.0) for i in range(8)], edges)
+    view = GraphView(roadmap, InterferenceCache(roadmap, 1.0))
+    blocked = frozenset((2, 4))
+    want = ref_lex_shortest_path(view, 3, 0, blocked)
+    assert want == [3, 5, 6, 7, 1, 0]
+    assert searched(view, 3, 0, blocked) == (want, "full")
 
 
 def ref_push_off(ws, g, src, path_blocked, acceptable, push):

@@ -274,7 +274,7 @@ def test_stats_are_populated():
 
 @pytest.mark.parametrize(
     "toy, move_la_calls, case3_failures",
-    [((51,), 44, 0), ((90, 12, 5), 114, 13)],
+    [((51,), 25, 0), ((90, 12, 5), 95, 13)],
 )
 def test_restart_counters_are_the_sums_over_the_orderings_tried(
     toy, move_la_calls, case3_failures
@@ -537,6 +537,29 @@ def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
     cuts = [tuple(map(int, m.groups())) for m in logged if m is not None]
     assert cuts == [cut for found in attempts for cut in found]
     assert all(dropped > 0 for _, _, dropped in cuts)
+
+
+@pytest.mark.parametrize("mode", ["la", "naive"])
+def test_move_la_calls_counts_the_calls_of_move_la(monkeypatch, mode):
+    """``stats.move_la_calls`` is the number of ``Workspace.move_la`` calls:
+    a free step of the outer loop is a plain checked move, not counted."""
+    calls = []
+    move_la = Workspace.move_la
+
+    def counted(ws, *args):
+        calls.append(args)
+        return move_la(ws, *args)
+
+    monkeypatch.setattr(Workspace, "move_la", counted)
+    roadmap, radius = gen_preset("sparse-like", 0)
+    counts = []
+    for i in range(25):
+        scenario = gen_scenario(roadmap, 20, seed=i, name="sparse-like")
+        inst = instance_from_scenario(roadmap, radius, scenario, 20)
+        before = len(calls)
+        counts.append((solve(inst, cfg(mode=mode)).stats.move_la_calls, len(calls) - before))
+    assert all(stat == seen for stat, seen in counts)
+    assert (sum(stat for stat, _ in counts) > 0) == (mode == "la")
 
 
 def test_a_repeated_outer_loop_state_fails_the_ordering_once_logged(caplog):
