@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import fileio, harness, render
+from . import fileio, harness
 from .harness import PRESETS, gen_preset, gen_scenario
 from .model import Instance, Plan
 from .solver import (
@@ -155,6 +155,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render  # only this command draws: solve and validate skip it
+
     frames = render.render_plan(*_load_checked_plan(args), args.out)
     print(f"wrote {len(frames)} frames to {args.out}")
     return EXIT_OK

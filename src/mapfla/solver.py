@@ -14,12 +14,11 @@ uses, so each ordering starts from the instance's starts and ``ws.stats``
 counts the whole call.  Every move goes through ``try_move``, which checks
 the full transition, so a returned plan is valid by construction.
 
-Lex paths come from first discoverers.  A search (``_Search``,
-``_layered_path``) is a forward BFS over sorted adjacency in FIFO order, so
-each vertex's first discoverer is its parent on its lexicographically
-smallest shortest path, whatever the search's extent: one search of a view
-answers every path in it, as a fresh reverse BFS from each target plus a
-greedy walk would.
+Lex paths come from first discoverers.  The one search, ``_Search``, is a
+forward BFS over sorted adjacency in FIFO order, so each vertex's first
+discoverer is its parent on its lexicographically smallest shortest path,
+whatever the search's extent: one search of a view answers every path in
+it, as a fresh reverse BFS from each target plus a greedy walk would.
 
 Pruning.  The outer loop replans each agent's path toward its goal many
 times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
@@ -36,7 +35,7 @@ banned edges make every path longer than D, the walk runs once more at
 D + 1, still exactly: from hop 1 on it needs h <= D, and every vertex within
 D hops is settled.  At D + 2 it would need h <= D + 1, which an unsettled
 vertex would fail wrongly, so a second miss runs the full BFS
-(``_layered_path``).
+(``_Search``) over the base view without the banned edges.
 
 Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
 goals, one set for the pass: each stands on its goal when the call starts,
@@ -163,7 +162,8 @@ class GraphView:
     An edge is masked when ``removed`` holds it, in either orientation, or
     when a vertex of ``near`` lies in its band.  ``bands`` is the
     :class:`InterferenceCache` the solve uses, so a band is read, and
-    computed if no solve has yet, only when a search reaches the edge.
+    computed if no solve has yet, only when a search reaches an edge to a
+    vertex it has not found.
     """
 
     __slots__ = ("roadmap", "removed", "near", "bands", "_masked")
@@ -180,18 +180,6 @@ class GraphView:
         self.near = near
         self.bands = bands
         self._masked = _edge_masks(removed)
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        base = self.roadmap.adjacency[v]
-        gone = self._masked.get(v, ())
-        if not self.near:
-            return tuple(w for w in base if w not in gone) if gone else base
-        # A loop, not a generator: a closure over ``v`` would slow every call.
-        near, bands, kept = self.near, self.bands, []
-        for w in base:
-            if w not in gone and near.isdisjoint(bands[(v, w) if v < w else (w, v)]):
-                kept.append(w)
-        return tuple(kept)
 
     def has_edge(self, u: int, v: int) -> bool:
         e = edge_key(u, v)
@@ -222,11 +210,18 @@ class _Search:
         self.frontier = tuple(self.parent)
 
     def next_layer(self) -> tuple[int, ...]:
-        """Find and return the next hop layer, in discovery order."""
-        parent, blocked, nxt = self.parent, self.blocked, []
+        """Find and return the next hop layer, in discovery order.  An
+        edge's band is tested last, so it is read only for an edge to a
+        vertex not yet found, off ``blocked`` and not removed."""
+        view = self.view
+        near, bands, masked = view.near, view.bands, view._masked
+        adjacency, parent, blocked, nxt = view.roadmap.adjacency, self.parent, self.blocked, []
         for u in self.frontier:
-            for w in self.view.neighbors(u):
-                if w not in blocked and w not in parent:
+            gone = masked.get(u, ())
+            for w in adjacency[u]:
+                if w in parent or w in blocked or w in gone:
+                    continue
+                if not near or near.isdisjoint(bands[(u, w) if u < w else (w, u)]):
                     parent[w] = u
                     nxt.append(w)
         self.frontier = tuple(nxt)
@@ -239,16 +234,11 @@ class _Search:
         while dst not in parent:
             if dst in self.blocked or not self.next_layer():
                 return None
-        return _walk_back(parent, dst)
-
-
-def _walk_back(parent: dict[int, int], dst: int) -> list[int]:
-    """The path from the search's source to ``dst`` through ``parent``."""
-    path = [dst]
-    while parent[dst] != dst:
-        dst = parent[dst]
-        path.append(dst)
-    return path[::-1]
+        path = [dst]
+        while parent[dst] != dst:
+            dst = parent[dst]
+            path.append(dst)
+        return path[::-1]
 
 
 def _edge_masks(edges: AbstractSet[Edge]) -> dict[int, set[int]]:
@@ -285,38 +275,23 @@ def _hop_walk(adjacency, hops, depth: int, src: int, dst: int, blocked, masked):
     return None
 
 
-def _layered_path(adjacency, src: int, dst: int, blocked, masked):
-    """The lex shortest path off ``blocked`` and ``masked``, or None: a BFS
-    that stops at the layer holding ``dst``."""
-    parent, frontier = {src: src}, [src]
-    while dst not in parent and frontier:
-        nxt = []
-        for u in frontier:
-            gone = masked.get(u, ())
-            for w in adjacency[u]:
-                if w not in parent and w not in blocked and w not in gone:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    return _walk_back(parent, dst) if dst in parent else None
-
-
 def lex_shortest_path(
-    roadmap: Roadmap, src: int, dst: int, blocked: AbstractSet[int], banned=frozenset()
+    base: GraphView, src: int, dst: int, blocked: AbstractSet[int], banned: AbstractSet[Edge]
 ) -> list[int] | None:
-    """The lex shortest path off ``blocked`` and the edges of ``banned``, or
-    None: a depth-first walk down the roadmap's hop distances to ``dst`` at
-    depth D = h(src), again at D + 1, and only then ``_layered_path`` (see
-    the module docstring)."""
-    hops = roadmap.hops_to(dst, src)
+    """The lex shortest path off ``blocked`` and the edges of ``banned`` on
+    ``base``, the solve's view that masks nothing, or None: a depth-first
+    walk down the roadmap's hop distances to ``dst`` at depth D = h(src),
+    again at D + 1, and only then a ``_Search`` of ``base`` without
+    ``banned`` (see the module docstring)."""
+    hops = base.roadmap.hops_to(dst, src)
     depth = hops[src]
     if depth == len(hops) or src in blocked or dst in blocked:
         return None
-    adjacency, masked = roadmap.adjacency, _edge_masks(banned)
+    adjacency, masked = base.roadmap.adjacency, _edge_masks(banned)
     return (
         _hop_walk(adjacency, hops, depth, src, dst, blocked, masked)
         or _hop_walk(adjacency, hops, depth + 1, src, dst, blocked, masked)
-        or _layered_path(adjacency, src, dst, blocked, masked)
+        or _Search(base.without(banned), src, blocked).path(dst)
     )
 
 
@@ -531,8 +506,8 @@ class Workspace:
         # the traversal happens.
         g_no_e = view.without((edge_key(v_from, v_to),))
 
-        for n_v in view.neighbors(v_from):
-            if n_v in view.near or n_v == v_prime:
+        for n_v in view.roadmap.adjacency[v_from]:
+            if n_v in view.near or n_v == v_prime or not view.has_edge(v_from, n_v):
                 continue
             entry_n = self.mark()
             if n_v in self.at and not self._push_off(
@@ -762,7 +737,7 @@ def _plan_agent(
                 break
             seen[key] = len(ws.plan)
             ws.check_time()
-            path = lex_shortest_path(base.roadmap, ws.pos[agent], goal, hard, banned)
+            path = lex_shortest_path(base, ws.pos[agent], goal, hard, banned)
             if path is None:
                 break
             # The first step starts at the agent's own vertex, so every round

@@ -4,7 +4,7 @@
 
 The suite collects only ``test_*.py`` files, so it does not run this one.
 It records every ``lex_shortest_path`` call of the la solves of one set,
-with its answer, then times replaying the calls on the solves' roadmaps,
+with its answer, then times replaying the calls on the solves' base views,
 whose goals' hop tables the solves already grew:
 
 * ``criterion-6``: the n = 40 cell of criterion 6, the 25 scenarios of the
@@ -16,8 +16,9 @@ whose goals' hop tables the solves already grew:
 
 Each replayed path must equal the recorded one.  ``extra_info`` gives the
 number of calls and how many of them each stage answered: the walk at the
-source's depth D (``D``), the walk at D + 1 (``D+1``) or the full BFS
-(``full``); the trivial calls no stage ran are left out.
+source's depth D (``D``), the walk at D + 1 (``D+1``) or the full BFS, a
+``_Search`` built for the call (``full``); the trivial calls no stage ran
+are left out.
 """
 
 from unittest import mock
@@ -55,15 +56,15 @@ def _recorded_calls(instances):
     search = solver.lex_shortest_path
     with (
         mock.patch.object(solver, "_hop_walk", wraps=solver._hop_walk) as walk,
-        mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop,
+        mock.patch.object(solver, "_Search", wraps=solver._Search) as full,
     ):
 
-        def recording(roadmap, src, dst, blocked, banned=frozenset()):
-            args = (roadmap, src, dst, blocked, frozenset(banned))
-            walks, loops = walk.call_count, loop.call_count
+        def recording(base, src, dst, blocked, banned):
+            args = (base, src, dst, blocked, frozenset(banned))
+            walks, fulls = walk.call_count, full.call_count
             path = search(*args)
             stage = (None, "D", "D+1")[walk.call_count - walks]
-            calls.append((args, path, "full" if loop.call_count > loops else stage))
+            calls.append((args, path, "full" if full.call_count > fulls else stage))
             return path
 
         with mock.patch.object(solver, "lex_shortest_path", recording):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from helpers import fuzz_instance
+from helpers import fuzz_instance, view_neighbors
 from mapfla.model import State, apply_move, edge_key
 from mapfla.solver import GraphView, Workspace, _Search, lex_shortest_path
 from mapfla.validator import is_valid_transition
@@ -51,7 +51,7 @@ def fuzz_move_la(seeds, attempts_per_seed: int = 6) -> int:
         for _ in range(attempts_per_seed):
             agent = rng.randrange(inst.n_agents)
             u = ws.pos[agent]
-            nbrs = base.neighbors(u)
+            nbrs = view_neighbors(base, u)
             if not nbrs:
                 continue
             v = rng.choice(nbrs)
@@ -90,9 +90,7 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
                 empties += [v for v in layer if v not in ws.at]
             if not empties:
                 continue
-            path = lex_shortest_path(
-                base.roadmap, src, rng.choice(empties), frozenset(), base.removed
-            )
+            path = lex_shortest_path(base, src, rng.choice(empties), frozenset(), frozenset())
             if path is None or len(path) < 2:
                 continue
             snap = _snapshot(ws)
@@ -133,7 +131,7 @@ def fuzz_edge_cleaning(seeds, attempts_per_seed: int = 6) -> int:
         for _ in range(attempts_per_seed):
             agent = rng.randrange(inst.n_agents)
             u = ws.pos[agent]
-            nbrs = [v for v in base.neighbors(u) if v not in ws.at]
+            nbrs = [v for v in view_neighbors(base, u) if v not in ws.at]
             if not nbrs:
                 continue
             v = rng.choice(nbrs)

@@ -131,6 +131,13 @@ def masked_by(roadmap, bands, v):
     return frozenset(e for e in roadmap.edge_set if not view.has_edge(*e))
 
 
+def view_neighbors(view, u):
+    """``u``'s neighbours on ``view`` in sorted order, each edge asked of
+    ``GraphView.has_edge``: the reference for searches that test edges
+    inline."""
+    return [w for w in view.roadmap.adjacency[u] if view.has_edge(u, w)]
+
+
 def brute_force_interference(roadmap, radius):
     """Every edge's interfering vertices by testing each edge against every
     vertex: the reference the interference table must equal."""

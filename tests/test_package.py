@@ -48,6 +48,19 @@ def test_importing_the_package_loads_no_process_pool_or_dataclasses():
     assert loaded.isdisjoint(UNUSED), sorted(loaded.intersection(UNUSED))
 
 
+def test_the_cli_loads_the_svg_writer_only_to_render():
+    src = str(Path(mapfla.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path[:0] = sys.argv[1:]; import mapfla.cli; "
+        "print('mapfla.render' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, src],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["False"]
+
+
 def test_a_parallel_bench_still_runs_on_a_process_pool(monkeypatch):
     created = []
 

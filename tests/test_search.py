@@ -4,10 +4,11 @@ The solver finds push targets and paths with a forward BFS grown a layer at
 a time on demand (``_Search``), one per view.  These tests hold it to the
 search it replaced: a full BFS ranking every vertex by ``(hops, id)`` and, per
 target, a fresh reverse BFS from the target followed by a greedy walk over
-sorted adjacency.  Reference copies of both live here only.  The outer
-loop's ``lex_shortest_path`` walks depth-first down the roadmap's hop
-distances to the goal (``_hop_walk``) at the source's depth D, then at
-D + 1, and runs a full BFS (``_layered_path``) only when both miss; it is
+sorted adjacency.  Reference copies of both live here only, and they read
+each edge through ``GraphView.has_edge``, which ``_Search`` tests inline.
+The outer loop's ``lex_shortest_path`` walks depth-first down the
+roadmap's hop distances to the goal (``_hop_walk``) at the source's depth
+D, then at D + 1, and runs a full ``_Search`` only when both miss; it is
 held to the same reference, and each stage to the paths it must answer.
 """
 
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from helpers import view_neighbors
 from mapfla import solver
 from mapfla.harness import gen_preset
 from mapfla.model import Instance, InterferenceCache, make_roadmap
@@ -39,7 +41,7 @@ def ref_bfs_dists(view, src, blocked):
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for w in view.neighbors(u):
+        for w in view_neighbors(view, u):
             if w not in blocked and w not in dists:
                 dists[w] = dists[u] + 1
                 queue.append(w)
@@ -59,7 +61,7 @@ def ref_lex_shortest_path(view, src, dst, blocked):
     while cur != dst:
         step = to_dst[cur] - 1
         cur = next(
-            w for w in view.neighbors(cur) if w not in blocked and to_dst.get(w) == step
+            w for w in view_neighbors(view, cur) if w not in blocked and to_dst.get(w) == step
         )
         path.append(cur)
     return path
@@ -89,18 +91,35 @@ def searches(draw, max_vertices: int = 12):
     return GraphView(roadmap, InterferenceCache(roadmap, 1.0)).without(masked), src, blocked
 
 
+@st.composite
+def near_searches(draw):
+    """A drawn search whose view also masks the edges near 0-2 vertices.
+    On the collinear points a long edge's band holds the vertices it spans,
+    so some edges are masked by their bands."""
+    view, src, blocked = draw(searches())
+    for v in draw(st.lists(st.integers(0, view.roadmap.n_vertices - 1), max_size=2)):
+        view = view.avoiding(v)
+    return view, src, blocked
+
+
+def unmasked(view):
+    """``view``'s roadmap and table with nothing masked: the solve's base
+    view, which ``lex_shortest_path`` takes with the masked edges apart."""
+    return GraphView(view.roadmap, view.bands)
+
+
 @settings(max_examples=300, deadline=None)
 @given(searches())
 def test_lex_shortest_path_matches_reverse_bfs_greedy(search):
     view, src, blocked = search
     for dst in range(view.roadmap.n_vertices):
         assert lex_shortest_path(
-            view.roadmap, src, dst, blocked, view.removed
+            unmasked(view), src, dst, blocked, view.removed
         ) == ref_lex_shortest_path(view, src, dst, blocked)
 
 
 @settings(max_examples=300, deadline=None)
-@given(searches())
+@given(near_searches())
 def test_layers_give_candidates_in_dist_id_order_with_lex_paths(search):
     view, src, blocked = search
     order = []
@@ -116,7 +135,7 @@ def test_layers_give_candidates_in_dist_id_order_with_lex_paths(search):
 
 
 @settings(max_examples=300, deadline=None)
-@given(searches(), st.lists(st.integers(0, 11), max_size=24))
+@given(near_searches(), st.lists(st.integers(0, 11), max_size=24))
 def test_one_search_answers_targets_in_any_order(search, targets):
     """Asking one search for several targets, in any order and with
     repeats, gives each the answer of a fresh reference search."""
@@ -134,24 +153,24 @@ def test_unreachable_target_gives_none(search):
     reachable = ref_bfs_dists(view, src, blocked)
     for dst in range(view.roadmap.n_vertices):
         if dst not in reachable:
-            assert lex_shortest_path(view.roadmap, src, dst, blocked, view.removed) is None
+            assert lex_shortest_path(unmasked(view), src, dst, blocked, view.removed) is None
 
 
 def searched(view, src, dst, blocked):
     """``lex_shortest_path``'s answer, and the stage that gave it: ``"D"`` or
     ``"D+1"`` for the first or second walk, ``"full"`` for the BFS, None when
-    no stage ran."""
+    no stage ran.  The full search is the one that constructs a ``_Search``."""
     with (
         mock.patch.object(solver, "_hop_walk", wraps=solver._hop_walk) as walk,
-        mock.patch.object(solver, "_layered_path", wraps=solver._layered_path) as loop,
+        mock.patch.object(solver, "_Search", wraps=solver._Search) as full,
     ):
-        path = lex_shortest_path(view.roadmap, src, dst, blocked, view.removed)
-    return path, "full" if loop.call_count else (None, "D", "D+1")[walk.call_count]
+        path = lex_shortest_path(unmasked(view), src, dst, blocked, view.removed)
+    return path, "full" if full.call_count else (None, "D", "D+1")[walk.call_count]
 
 
 def roadmap_hops(view, src, dst):
     """Hops from ``src`` to ``dst`` on the whole roadmap, None if unreachable."""
-    return ref_bfs_dists(GraphView(view.roadmap, view.bands), dst, frozenset()).get(src)
+    return ref_bfs_dists(unmasked(view), dst, frozenset()).get(src)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,7 +272,7 @@ def ref_push_off(ws, g, src, path_blocked, acceptable, push):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    searches(),
+    near_searches(),
     st.sets(st.integers(0, 11)),
     st.sets(st.integers(0, 11)),
     st.lists(st.one_of(st.none(), st.integers(0, 10)), max_size=30),
@@ -311,7 +330,7 @@ def test_goal_hops_grown_to_the_source_give_the_full_searchs_paths(preset, seed)
         banned = rng.sample(roadmap.edge_list, rng.randrange(4))
         blocked = frozenset(rng.sample(range(n), rng.randrange(4)))
         view = base.without(banned)
-        got = lex_shortest_path(view.roadmap, src, goal, blocked, view.removed)
+        got = lex_shortest_path(base, src, goal, blocked, view.removed)
         assert got == _Search(view, src, blocked).path(goal)
         if goal not in full:
             full[goal] = ref_bfs_dists(base, goal, frozenset())

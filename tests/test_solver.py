@@ -367,8 +367,7 @@ def _plan_agent_every_round(
         while ws.pos[agent] != goal and rounds < round_cap:
             rounds += 1
             ws.check_time()
-            view = base.without(frozenset(banned)) if banned else base
-            path = lex_shortest_path(view.roadmap, ws.pos[agent], goal, hard, view.removed)
+            path = lex_shortest_path(base, ws.pos[agent], goal, hard, banned)
             if path is None:
                 break
             advanced = False
