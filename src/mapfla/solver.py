@@ -21,10 +21,13 @@ whatever the search's extent: one search of a view answers every path in
 it, as a fresh reverse BFS from each target plus a greedy walk would.
 
 Pruning.  The outer loop replans each agent's path toward its goal many
-times a solve (``lex_shortest_path``).  The roadmap keeps each goal's hop
-distances h (``Roadmap.hops_to``), a BFS from the goal grown only until the
-source is settled: at D = h(src), every vertex within D hops holds its h and
-every other one reads ``n_vertices``.  A roadmap hop distance is a lower
+times a solve (``lex_shortest_path``), on a view of ``base`` that removes
+the edges the pass has banned: a ban takes ``without`` of the pass's view,
+a round that advances goes back to ``base``, and no other round builds a
+view.  The roadmap keeps each goal's hop distances h (``Roadmap.hops_to``),
+a BFS from the goal grown only until the source is settled: at D = h(src),
+every vertex within D hops holds its h and every other one reads
+``n_vertices``.  A roadmap hop distance is a lower
 bound whatever is blocked or banned, so ``_hop_walk`` walks depth first over
 sorted adjacency and enters a vertex at hop k only if h <= D - k: a path it
 completes is a shortest one, and the first is the lexicographically
@@ -35,7 +38,7 @@ banned edges make every path longer than D, the walk runs once more at
 D + 1, still exactly: from hop 1 on it needs h <= D, and every vertex within
 D hops is settled.  At D + 2 it would need h <= D + 1, which an unsettled
 vertex would fail wrongly, so a second miss runs the full BFS
-(``_Search``) over the base view without the banned edges.
+(``_Search``) over that same view.
 
 Blocked vertices.  ``_plan_agent``'s first pass blocks the locked agents'
 goals, one set for the pass: each stands on its goal when the call starts,
@@ -163,7 +166,8 @@ class GraphView:
     when a vertex of ``near`` lies in its band.  ``bands`` is the
     :class:`InterferenceCache` the solve uses, so a band is read, and
     computed if no solve has yet, only when a search reaches an edge to a
-    vertex it has not found.
+    vertex it has not found.  The outer loop's bans are such views of the
+    solve's ``base``, one ``without`` per banned edge.
     """
 
     __slots__ = ("roadmap", "removed", "near", "bands", "_masked")
@@ -179,7 +183,11 @@ class GraphView:
         self.removed = removed
         self.near = near
         self.bands = bands
-        self._masked = _edge_masks(removed)
+        masked: dict[int, set[int]] = {}  # each end of a removed edge -> its other ends
+        for u, v in removed:
+            masked.setdefault(u, set()).add(v)
+            masked.setdefault(v, set()).add(u)
+        self._masked = masked
 
     def has_edge(self, u: int, v: int) -> bool:
         e = edge_key(u, v)
@@ -241,22 +249,14 @@ class _Search:
         return path[::-1]
 
 
-def _edge_masks(edges: AbstractSet[Edge]) -> dict[int, set[int]]:
-    """Each endpoint of ``edges`` mapped to the other ends of its edges."""
-    masked: dict[int, set[int]] = {}
-    for u, v in edges:
-        masked.setdefault(u, set()).add(v)
-        masked.setdefault(v, set()).add(u)
-    return masked
-
-
-def _hop_walk(adjacency, hops, depth: int, src: int, dst: int, blocked, masked):
-    """The lex-first path of at most ``depth`` hops off ``blocked`` and
-    ``masked`` whose vertex at hop k has ``hops`` <= ``depth - k``, or None:
-    a depth-first walk over sorted adjacency that enters no vertex with a
-    hop budget no larger than one it already failed with."""
+def _hop_walk(view: GraphView, hops, depth: int, src: int, dst: int, blocked):
+    """The lex-first path of at most ``depth`` hops off ``blocked`` and the
+    edges ``view`` removes whose vertex at hop k has ``hops`` <= ``depth - k``,
+    or None: a depth-first walk over sorted adjacency that enters no vertex
+    with a hop budget no larger than one it already failed with."""
     if src == dst:
         return [src]
+    adjacency, masked = view.roadmap.adjacency, view._masked
     path, todo = [src], [iter(adjacency[src])]
     failed: dict[int, int] = {}  # vertex -> largest budget it failed with
     while todo:
@@ -276,22 +276,20 @@ def _hop_walk(adjacency, hops, depth: int, src: int, dst: int, blocked, masked):
 
 
 def lex_shortest_path(
-    base: GraphView, src: int, dst: int, blocked: AbstractSet[int], banned: AbstractSet[Edge]
+    view: GraphView, src: int, dst: int, blocked: AbstractSet[int]
 ) -> list[int] | None:
-    """The lex shortest path off ``blocked`` and the edges of ``banned`` on
-    ``base``, the solve's view that masks nothing, or None: a depth-first
-    walk down the roadmap's hop distances to ``dst`` at depth D = h(src),
-    again at D + 1, and only then a ``_Search`` of ``base`` without
-    ``banned`` (see the module docstring)."""
-    hops = base.roadmap.hops_to(dst, src)
+    """The lex shortest path off ``blocked`` on ``view``, a view with no
+    ``near`` vertices, or None: a depth-first walk down the roadmap's hop
+    distances to ``dst`` at depth D = h(src), again at D + 1, and only then
+    a ``_Search`` of ``view`` (see the module docstring)."""
+    hops = view.roadmap.hops_to(dst, src)
     depth = hops[src]
     if depth == len(hops) or src in blocked or dst in blocked:
         return None
-    adjacency, masked = base.roadmap.adjacency, _edge_masks(banned)
     return (
-        _hop_walk(adjacency, hops, depth, src, dst, blocked, masked)
-        or _hop_walk(adjacency, hops, depth + 1, src, dst, blocked, masked)
-        or _Search(base.without(banned), src, blocked).path(dst)
+        _hop_walk(view, hops, depth, src, dst, blocked)
+        or _hop_walk(view, hops, depth + 1, src, dst, blocked)
+        or _Search(view, src, blocked).path(dst)
     )
 
 
@@ -724,10 +722,10 @@ def _plan_agent(
 ) -> bool:
     goal = ws.instance.goals[agent]
     for hard in (locked_goals, frozenset()):
-        banned: set[Edge] = set()
+        view = base  # base without the edges this pass has banned
         seen: dict[tuple, int] = {}  # state -> plan length: see the module docstring
         while ws.pos[agent] != goal:
-            key = (tuple(ws.pos), frozenset(banned))
+            key = (tuple(ws.pos), view.removed)
             if key in seen:
                 log.debug(
                     "agent %d at vertex %d: cycle cut, %d moves dropped",
@@ -737,7 +735,7 @@ def _plan_agent(
                 break
             seen[key] = len(ws.plan)
             ws.check_time()
-            path = lex_shortest_path(base, ws.pos[agent], goal, hard, banned)
+            path = lex_shortest_path(view, ws.pos[agent], goal, hard)
             if path is None:
                 break
             # The first step starts at the agent's own vertex, so every round
@@ -748,7 +746,7 @@ def _plan_agent(
                 if v in ws.at:
                     protect = frozenset(path[i + 1 :])
                     if not _outer_push(ws, base, v, u, protect, hard):
-                        banned.add(edge_key(u, v))
+                        view = view.without((edge_key(u, v),))
                         break
                     advanced = True  # occupancy changed even if the mover moved back
                     if ws.pos[agent] != u or v in ws.at:
@@ -757,11 +755,11 @@ def _plan_agent(
                 # move is the one ``move_la`` and the naive step each try
                 # first; ``step`` runs only when the band holds an agent.
                 if not (ws.try_move(agent, u, v) or ws.step(base, u, v)):
-                    banned.add(edge_key(u, v))
+                    view = view.without((edge_key(u, v),))
                     break
                 advanced = True
             if advanced:
-                banned.clear()
+                view = base
         if ws.pos[agent] == goal:
             return True
     log.debug("agent %d given up at vertex %d, goal %d", agent, ws.pos[agent], goal)

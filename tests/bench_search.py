@@ -4,8 +4,8 @@
 
 The suite collects only ``test_*.py`` files, so it does not run this one.
 It records every ``lex_shortest_path`` call of the la solves of one set,
-with its answer, then times replaying the calls on the solves' base views,
-whose goals' hop tables the solves already grew:
+with its answer, then times replaying the calls on the views they were
+given, whose goals' hop tables the solves already grew:
 
 * ``criterion-6``: the n = 40 cell of criterion 6, the 25 scenarios of the
   sparse-like roadmap of seed 0;
@@ -59,8 +59,8 @@ def _recorded_calls(instances):
         mock.patch.object(solver, "_Search", wraps=solver._Search) as full,
     ):
 
-        def recording(base, src, dst, blocked, banned):
-            args = (base, src, dst, blocked, frozenset(banned))
+        def recording(view, src, dst, blocked):
+            args = (view, src, dst, blocked)
             walks, fulls = walk.call_count, full.call_count
             path = search(*args)
             stage = (None, "D", "D+1")[walk.call_count - walks]

@@ -90,7 +90,7 @@ def fuzz_push_along_path(seeds, attempts_per_seed: int = 4) -> int:
                 empties += [v for v in layer if v not in ws.at]
             if not empties:
                 continue
-            path = lex_shortest_path(base, src, rng.choice(empties), frozenset(), frozenset())
+            path = lex_shortest_path(base, src, rng.choice(empties), frozenset())
             if path is None or len(path) < 2:
                 continue
             snap = _snapshot(ws)

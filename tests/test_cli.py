@@ -324,6 +324,24 @@ def test_validate_rejects_a_negative_plan_id_as_malformed(tmp_path, capsys, reco
     assert line.startswith(f"error: {plan_path}:3: ") and "must be >= 0, got -1" in line
 
 
+def test_validate_rejects_a_plan_that_is_not_utf8_naming_its_line(tmp_path, capsys):
+    # It printed the codec's message, which names neither the file nor the line.
+    inst = ordering_instance()
+    map_path, scen_path = write_fixture(tmp_path, inst, "order")
+    plan_path = tmp_path / "p.txt"
+    plan_path.write_bytes(b"mapfla-plan 1\nm 0 0 1\nm 0 \xff 1\n")
+    code = main(
+        ["validate", "--map", str(map_path), "--scen", str(scen_path),
+         "--plan", str(plan_path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {plan_path}:3: not UTF-8: invalid start byte 0xff"
+    ]
+
+
 def invalid_instances():
     """A start past the last vertex, and two agents on one start."""
     rm = make_roadmap([(0.0, 0.0), (1.2, 0.0), (2.4, 0.0)], [(0, 1), (1, 2)])

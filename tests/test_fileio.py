@@ -1,3 +1,7 @@
+import re
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from mapfla import fileio
@@ -143,6 +147,8 @@ _SCEN = "mapfla-scen 1\n# a comment\nroadmap m.map\na 0 1\n"
         (_MAP + "e 0", "m.map:5: e record needs two vertex ids"),
         (_MAP + "x 0 1", "m.map:5: unknown record 'x'"),
         (_MAP + "v one 1.0 1.0", "m.map:5: vertex id must be an integer, got 'one'"),
+        # Both a second v 0 and malformed: the field is checked first.
+        (_MAP + "v 0 bad 1.0", "m.map:5: x must be a number, got 'bad'"),
         (_SCEN + "roadmap", "s.scen:5: roadmap record needs one name"),
         (_SCEN + "roadmap n.map", "s.scen:5: duplicate roadmap record"),
         (_SCEN + "a 1 2 3", "s.scen:5: a record needs start and goal"),
@@ -150,6 +156,7 @@ _SCEN = "mapfla-scen 1\n# a comment\nroadmap m.map\na 0 1\n"
     ],
     ids=[
         "r-arity", "r-twice", "v-arity", "v-twice", "e-arity", "map-unknown", "id-not-int",
+        "v-twice-and-malformed",
         "roadmap-arity", "roadmap-twice", "a-arity", "scen-unknown",
     ],
 )
@@ -161,3 +168,107 @@ def test_each_malformed_record_is_rejected_naming_its_line(text, message):
     with pytest.raises(fileio.FileFormatError) as err:
         loads(text + "\n", source)
     assert str(err.value) == message
+
+
+# Characters ``str.splitlines`` breaks at that a text-mode file read keeps.
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_only_newlines_end_a_line(char):
+    # Each of these made every later error name the line after its own.
+    text = f"mapfla-plan 1\nm 0 1 2{char}\nm x 1 2\n"
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.loads_plan(text, "p.plan")
+    assert str(err.value) == "p.plan:3: agent must be an integer, got 'x'"
+    assert fileio.loads_plan(f"mapfla-plan 1\nm 0{char}1 2\n") == [Move(0, 1, 2)]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_each_line_end_a_file_read_knows_ends_a_line(end):
+    text = end.join(["mapfla-plan 1", "m 0 1 2", "", "m x 1 2", ""])
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.loads_plan(text, "p.plan")
+    assert str(err.value) == "p.plan:4: agent must be an integer, got 'x'"
+
+
+def test_a_file_that_is_not_utf8_is_rejected_naming_its_line(tmp_path):
+    # It raised UnicodeDecodeError, which names neither the file nor the line.
+    path = tmp_path / "p.plan"
+    path.write_bytes(b"mapfla-plan 1\r\nm 0 1 2\nm 0 \xff 1\n")
+    with pytest.raises(fileio.FileFormatError) as err:
+        fileio.load_plan(path)
+    assert err.value.line_no == 3
+    assert str(err.value) == f"{path}:3: not UTF-8: invalid start byte 0xff"
+
+
+# Format -> header, reader, writer, each record kind's number of fields
+# and the records of one file that parses.
+_FORMATS = {
+    "roadmap": (
+        fileio.ROADMAP_HEADER, fileio.loads_roadmap, lambda r: fileio.dumps_roadmap(*r),
+        {"r": 1, "v": 3, "e": 2},
+        ["r 0.5", "v 0 0.0 1", "v 1 -2.5 nan", "e 0 1", "e 1 1"],
+    ),
+    "scenario": (
+        fileio.SCENARIO_HEADER, fileio.loads_scenario, lambda s: fileio.dumps_scenario(*s),
+        {"roadmap": 1, "a": 2},
+        ["roadmap m.map", "a 0 1", "a 2 2"],
+    ),
+    "plan": (
+        fileio.PLAN_HEADER, fileio.loads_plan, fileio.dumps_plan,
+        {"m": 3},
+        ["m 0 1 2", "m 1 0 0", "m 0 2 1"],
+    ),
+}
+_KINDS = st.sampled_from(["r", "v", "e", "roadmap", "a", "m", "x", "#", "# c"])
+_VALUES = st.one_of(
+    st.integers(0, 4).map(str),
+    st.integers(-3, -1).map(str),
+    st.floats(-5, 5).map(repr),
+    st.sampled_from(["nan", "inf", "one", "m.map", "#"]),
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+_INSIDE = st.sampled_from([" ", " ", " ", "\t", *_NOT_LINE_ENDS])
+
+
+@st.composite
+def _texts(draw, fmt):
+    """A file of ``fmt``, or close to one: some of the records of a file that
+    parses, in any order, among records of the format's kinds with their
+    number of fields, any other records, blank lines and comments, with any
+    separators inside lines and any line ends."""
+    header, _, _, arities, records = _FORMATS[fmt]
+    records = draw(st.permutations(records))[: draw(st.integers(0, len(records)))]
+    lines = [record.split() for record in records]
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.integers(0, 3))
+        if shape == 0:
+            tokens = []
+        elif shape == 1:
+            kind = draw(st.sampled_from(sorted(arities)))
+            n = arities[kind]
+            tokens = [kind, *draw(st.lists(_VALUES, min_size=n, max_size=n))]
+        else:
+            tokens = [draw(_KINDS), *draw(st.lists(_VALUES, max_size=4))]
+        lines.insert(draw(st.integers(0, len(lines))), tokens)
+    first = draw(st.sampled_from([header, header, header, " " + header, "mapfla-plan 2"]))
+    lines = [first] + ["".join(draw(_INSIDE) + token for token in tokens) for tokens in lines]
+    ends = st.lists(_ENDS, min_size=len(lines), max_size=len(lines))
+    return "".join(line + end for line, end in zip(lines, draw(ends)))
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_text_parses_or_is_rejected_naming_a_line(fmt, data):
+    _, loads, dumps, _, _ = _FORMATS[fmt]
+    text = data.draw(_texts(fmt))
+    try:
+        parsed = loads(text, "f.txt")
+    except fileio.FileFormatError as err:
+        assert 1 <= err.line_no <= len(re.split(r"\r\n|\r|\n", text))
+        assert str(err).startswith(f"f.txt:{err.line_no}: ")
+        return
+    dumped = dumps(parsed)
+    assert dumps(loads(dumped)) == dumped

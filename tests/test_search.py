@@ -104,7 +104,7 @@ def near_searches(draw):
 
 def unmasked(view):
     """``view``'s roadmap and table with nothing masked: the solve's base
-    view, which ``lex_shortest_path`` takes with the masked edges apart."""
+    view, of which the views ``lex_shortest_path`` takes remove edges."""
     return GraphView(view.roadmap, view.bands)
 
 
@@ -113,9 +113,9 @@ def unmasked(view):
 def test_lex_shortest_path_matches_reverse_bfs_greedy(search):
     view, src, blocked = search
     for dst in range(view.roadmap.n_vertices):
-        assert lex_shortest_path(
-            unmasked(view), src, dst, blocked, view.removed
-        ) == ref_lex_shortest_path(view, src, dst, blocked)
+        assert lex_shortest_path(view, src, dst, blocked) == ref_lex_shortest_path(
+            view, src, dst, blocked
+        )
 
 
 @settings(max_examples=300, deadline=None)
@@ -153,7 +153,7 @@ def test_unreachable_target_gives_none(search):
     reachable = ref_bfs_dists(view, src, blocked)
     for dst in range(view.roadmap.n_vertices):
         if dst not in reachable:
-            assert lex_shortest_path(unmasked(view), src, dst, blocked, view.removed) is None
+            assert lex_shortest_path(view, src, dst, blocked) is None
 
 
 def searched(view, src, dst, blocked):
@@ -164,7 +164,7 @@ def searched(view, src, dst, blocked):
         mock.patch.object(solver, "_hop_walk", wraps=solver._hop_walk) as walk,
         mock.patch.object(solver, "_Search", wraps=solver._Search) as full,
     ):
-        path = lex_shortest_path(unmasked(view), src, dst, blocked, view.removed)
+        path = lex_shortest_path(view, src, dst, blocked)
     return path, "full" if full.call_count else (None, "D", "D+1")[walk.call_count]
 
 
@@ -252,6 +252,22 @@ def test_a_path_two_hops_longer_comes_from_the_full_search():
     assert searched(view, 3, 0, blocked) == (want, "full")
 
 
+def test_the_full_search_runs_on_the_view_given_and_builds_none():
+    """The same detour forced by two removed edges: the last stage searches
+    the caller's view itself, and no stage builds a ``GraphView``."""
+    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 3), (5, 6), (6, 7), (7, 1)]
+    roadmap = make_roadmap([(3.0 * i, 0.0) for i in range(8)], edges)
+    view = GraphView(roadmap, InterferenceCache(roadmap, 1.0)).without([(2, 3), (1, 4)])
+    with (
+        mock.patch.object(solver, "_Search", wraps=solver._Search) as full,
+        mock.patch.object(solver, "GraphView", wraps=solver.GraphView) as built,
+    ):
+        assert lex_shortest_path(view, 3, 0, frozenset()) == [3, 5, 6, 7, 1, 0]
+    (call,) = full.call_args_list
+    assert call.args[0] is view
+    assert built.call_count == 0
+
+
 def ref_push_off(ws, g, src, path_blocked, acceptable, push):
     """The eager nearest-first push loop the lazy one replaced."""
     dists = ref_bfs_dists(g, src, path_blocked)
@@ -330,7 +346,7 @@ def test_goal_hops_grown_to_the_source_give_the_full_searchs_paths(preset, seed)
         banned = rng.sample(roadmap.edge_list, rng.randrange(4))
         blocked = frozenset(rng.sample(range(n), rng.randrange(4)))
         view = base.without(banned)
-        got = lex_shortest_path(base, src, goal, blocked, view.removed)
+        got = lex_shortest_path(view, src, goal, blocked)
         assert got == _Search(view, src, blocked).path(goal)
         if goal not in full:
             full[goal] = ref_bfs_dists(base, goal, frozenset())

@@ -367,7 +367,7 @@ def _plan_agent_every_round(
         while ws.pos[agent] != goal and rounds < round_cap:
             rounds += 1
             ws.check_time()
-            path = lex_shortest_path(base, ws.pos[agent], goal, hard, banned)
+            path = lex_shortest_path(base.without(banned), ws.pos[agent], goal, hard)
             if path is None:
                 break
             advanced = False

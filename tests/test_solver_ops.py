@@ -456,9 +456,9 @@ def test_lex_shortest_path_prefers_smallest_ids():
         [(0, 0), (1, 1), (1, -1), (2, 0)], [(0, 1), (0, 2), (1, 3), (2, 3)]
     )
     view = GraphView(rm, InterferenceCache(rm, 0.25))
-    assert lex_shortest_path(view, 0, 3, frozenset(), frozenset()) == [0, 1, 3]
-    assert lex_shortest_path(view, 0, 3, frozenset({1}), frozenset()) == [0, 2, 3]
-    assert lex_shortest_path(view, 0, 3, frozenset({1, 2}), frozenset()) is None
+    assert lex_shortest_path(view, 0, 3, frozenset()) == [0, 1, 3]
+    assert lex_shortest_path(view, 0, 3, frozenset({1})) == [0, 2, 3]
+    assert lex_shortest_path(view, 0, 3, frozenset({1, 2})) is None
 
 
 def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
@@ -467,7 +467,7 @@ def test_lex_shortest_path_ranks_by_path_not_by_vertex_id():
         [(i, 0) for i in range(6)], [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
     )
     view = GraphView(rm, InterferenceCache(rm, 0.25))
-    assert lex_shortest_path(view, 0, 5, frozenset(), frozenset()) == [0, 1, 4, 5]
+    assert lex_shortest_path(view, 0, 5, frozenset()) == [0, 1, 4, 5]
 
 
 # -- fuzzed contracts (smoke scale; acceptance runs these big) --------------------
