@@ -1,14 +1,16 @@
 """Command-line interface: solve, validate, gen, bench, render.
 
 Exit codes are a stable contract: 0 success/valid, 2 failed/invalid,
-3 timeout, 1 usage or IO error.  ``MAPFLA_LOG={off,info,trace}`` controls
-diagnostics on stderr.
+3 timeout, 1 usage or IO error.  ``MAPFLA_LOG`` controls diagnostics on
+stderr: ``off`` (the default, also when unset or empty), ``info`` for one line
+per solve, or ``trace`` for the solver's debug lines as well, matched without
+regard to case; any other value is a usage error, exit 1, before the command
+runs.  Unless it is ``info`` or ``trace``, a call does not import ``logging``.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -40,10 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# MAPFLA_LOG value -> level of the "mapfla" logger: off is above CRITICAL.
+_LOG_LEVELS = {"off": 60, "info": 20, "trace": 10}
+
+
 def _setup_logging() -> None:
-    level_name = os.environ.get("MAPFLA_LOG", "off").lower()
-    levels = {"off": logging.CRITICAL + 10, "info": logging.INFO, "trace": logging.DEBUG}
-    level = levels.get(level_name, logging.CRITICAL + 10)
+    value = os.environ.get("MAPFLA_LOG") or "off"
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        raise _UsageError(f"MAPFLA_LOG must be off, info or trace, got {value!r}")
+    if level == _LOG_LEVELS["off"] and "logging" not in sys.modules:
+        return  # nothing can emit a record before some code imports logging
+    import logging
+
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
     root = logging.getLogger("mapfla")
@@ -209,9 +220,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
+        _setup_logging()
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, fileio.FileFormatError, OSError, ValueError, KeyError) as exc:

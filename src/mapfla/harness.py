@@ -11,7 +11,6 @@ whole benchmark: correctness over throughput.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 import random
@@ -20,10 +19,10 @@ from collections import Counter, deque
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Instance, Roadmap, edge_key
-from .solver import FAILED, LA, NAIVE, SOLVED, TIMEOUT, SolverConfig, solve
+from .solver import FAILED, LA, NAIVE, SOLVED, TIMEOUT, LazyLogger, SolverConfig, solve
 from .validator import validate_plan
 
-log = logging.getLogger("mapfla.harness")
+log = LazyLogger("mapfla.harness")
 
 
 class RoadmapGenError(RuntimeError):

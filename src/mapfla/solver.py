@@ -68,9 +68,9 @@ lines the roadmap keeps as well.
 
 from __future__ import annotations
 
-import logging
 import math
 import random
+import sys
 import time
 from collections import deque
 from types import SimpleNamespace
@@ -87,7 +87,41 @@ from .model import (
     validate_roadmap,
 )
 
-log = logging.getLogger("mapfla.solver")
+
+class LazyLogger:
+    """The logger ``name`` without importing :mod:`logging`.
+
+    Until something imports ``logging`` no handler or level exists, so a
+    record would be dropped: each call returns at once.  Once a user, a test
+    or ``MAPFLA_LOG`` has imported it, the calls go to
+    ``logging.getLogger(name)``, found once and kept, and name their caller
+    as the record's origin.
+    """
+
+    __slots__ = ("name", "_logger")
+
+    def __init__(self, name: str):
+        self.name = name
+        self._logger = None
+
+    def _find(self):
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            self._logger = logging.getLogger(self.name)
+        return self._logger
+
+    def info(self, msg: str, *args) -> None:
+        logger = self._logger or self._find()
+        if logger is not None:
+            logger.info(msg, *args, stacklevel=2)
+
+    def debug(self, msg: str, *args) -> None:
+        logger = self._logger or self._find()
+        if logger is not None:
+            logger.debug(msg, *args, stacklevel=2)
+
+
+log = LazyLogger("mapfla.solver")
 
 LA = "la"
 NAIVE = "naive"

@@ -19,6 +19,11 @@ number of calls and how many of them each stage answered: the walk at the
 source's depth D (``D``), the walk at D + 1 (``D+1``) or the full BFS, a
 ``_Search`` built for the call (``full``); the trivial calls no stage ran
 are left out.
+
+Its medians are not a comparison of two sides: on unchanged code they swing
+by up to 1.6x between runs of this script in separate processes, on a
+2-core host.  Two versions of the search are compared by replaying the same
+recorded calls through each of them in one process, alternating the sides.
 """
 
 from unittest import mock

@@ -1,12 +1,19 @@
+import contextlib
+import io
+import logging
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import ordering_instance, star_instance
-from mapfla import fileio, harness
+from helpers import case3_instance, ordering_instance, star_instance
+from mapfla import cli, fileio, harness
 from mapfla.cli import main
 from mapfla.harness import gen_preset
 from mapfla.model import Instance, Move, make_roadmap
+from mapfla.solver import check_instance
 
 
 def write_fixture(tmp_path: Path, instance, stem: str):
@@ -466,3 +473,182 @@ def test_bench_rejects_unknown_mode_before_solving(monkeypatch, capsys):
     assert code == 1
     assert "unknown mode 'foo'" in captured.err
     assert captured.out == ""
+
+
+# -- MAPFLA_LOG ----------------------------------------------------------------
+
+
+@pytest.fixture
+def mapfla_logger():
+    """Puts back the handlers and level ``main`` gives the "mapfla" logger."""
+    logger = logging.getLogger("mapfla")
+    handlers, level = logger.handlers[:], logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+
+
+def _solve_with_log(tmp_path, monkeypatch, value, instance, *options):
+    if value is None:
+        monkeypatch.delenv("MAPFLA_LOG", raising=False)
+    else:
+        monkeypatch.setenv("MAPFLA_LOG", value)
+    map_path, scen_path = write_fixture(tmp_path, instance, "log")
+    return main(["solve", "--map", str(map_path), "--scen", str(scen_path), *options])
+
+
+@pytest.mark.parametrize("value", [None, "", "off", "OFF"], ids=["unset", "empty", "off", "OFF"])
+def test_mapfla_log_off_prints_no_diagnostics(tmp_path, monkeypatch, capsys, mapfla_logger,
+                                              value):
+    code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance(),
+                           "--order", "perm:1,0")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("status=solved ")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("value", ["info", "trace", "TRACE"])
+def test_mapfla_log_info_and_trace_print_the_solve_line(tmp_path, monkeypatch, capsys,
+                                                        mapfla_logger, value):
+    code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance(),
+                           "--order", "perm:1,0")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.startswith("status=solved ")
+    assert captured.err.startswith("mapfla.solver: solve: solved after ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, traced", [("info", False), ("trace", True)])
+def test_only_mapfla_log_trace_prints_the_debug_lines(tmp_path, monkeypatch, capsys,
+                                                      mapfla_logger, value, traced):
+    assert _solve_with_log(tmp_path, monkeypatch, value, case3_instance()) == 2
+    err = capsys.readouterr().err
+    assert ("mapfla.solver: edge (0, 1): vertex 2 not cleared\n" in err) is traced
+    assert err.splitlines()[-1].startswith("mapfla.solver: solve: failed after ")
+
+
+@pytest.mark.parametrize("value", ["debug", "1", "info "])
+def test_an_unknown_mapfla_log_value_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                      mapfla_logger, value):
+    monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
+    code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: MAPFLA_LOG must be off, info or trace, got {value!r}\n"
+    assert captured.out == ""
+
+
+# -- malformed files through the CLI ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gen_files(tmp_path_factory):
+    """The bytes of a ``gen`` roadmap and scenario with 8 pairs, and of the
+    plan ``solve`` writes for them, then the directory a case writes into."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--seed", "1", "--scenarios", "1", "--pairs", "8",
+                     "--out", str(root)]) == 0
+        map_path, scen_path = root / "sparse-like-1.map", root / "sparse-like-1-scen00.scen"
+        assert main(["solve", "--map", str(map_path), "--scen", str(scen_path),
+                     "--out", str(root / "plan")]) == 0
+    files = {name: (root / src).read_bytes() for name, src in (
+        ("map", map_path.name), ("scen", scen_path.name), ("plan", "plan"))}
+    case = root / "case"
+    case.mkdir()
+    return files, case
+
+
+_TOKENS = st.sampled_from([
+    "0", "1", "7", "40", "-1", "99999", "0.5", "-0.0", "1e308", "nan", "inf", "x",
+    "r", "v", "e", "a", "m", "roadmap", "#",
+])
+
+
+_NUMBERS = st.one_of(st.integers(-1, 200).map(str), st.floats(-1, 30).map(repr))
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to three edits: a line dropped, repeated, swapped or
+    inserted, a field set to another number, a token replaced, dropped or
+    added; then, at times, the bytes cut or a byte put in."""
+    lines = data.decode().split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        edit = draw(st.sampled_from(["drop", "repeat", "swap", "insert", "token", "number"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "insert":
+            lines.insert(i, " ".join(draw(st.lists(_TOKENS, min_size=1, max_size=5))))
+        elif edit == "number" and len(tokens) > 1:
+            tokens[draw(st.integers(1, len(tokens) - 1))] = draw(_NUMBERS)
+            lines[i] = " ".join(tokens)
+        elif edit == "token":
+            k = draw(st.integers(0, len(tokens)))
+            tokens[k : k + draw(st.integers(0, 1))] = draw(st.lists(_TOKENS, max_size=1))
+            lines[i] = " ".join(tokens)
+    out = "\n".join(lines).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(out)))
+        tail = out[at:] if draw(st.booleans()) else b""
+        out = out[:at] + draw(st.sampled_from([b"", b"\xff", b"\r", b"\x00", b"\n\n"])) + tail
+    return out
+
+
+def _format_error(command: str, map_path, scen_path, plan_path) -> str | None:
+    """The file-format error ``command`` must report: the first of the files
+    it reads, in its order, that does not parse; an instance error stops
+    ``validate`` and ``render`` before they read the plan."""
+    try:
+        roadmap, radius = fileio.load_roadmap(map_path)
+        name, pairs = fileio.load_scenario(scen_path)
+        if command == "solve":
+            return None
+        check_instance(harness.instance_from_scenario(
+            roadmap, radius, harness.Scenario(name, pairs)))
+        fileio.load_plan(plan_path)
+    except fileio.FileFormatError as exc:
+        return str(exc)
+    except (ValueError, KeyError):
+        return None
+    return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_file_gives_an_exit_code_and_an_error_line(gen_files, mapfla_logger, data):
+    files, case = gen_files
+    # One file a case: a map that does not parse would hide the other two.
+    mutate = data.draw(st.sampled_from(sorted(files)), label="mutate")
+    paths = {name: case / name for name in files}
+    for name, original in files.items():
+        text = data.draw(_mutated(original), label=name) if name == mutate else original
+        paths[name].write_bytes(text)
+    instance = ["--map", str(paths["map"]), "--scen", str(paths["scen"])]
+    runs = {
+        "solve": ["solve", *instance, "--time-limit", "2"],
+        "validate": ["validate", *instance, "--plan", str(paths["plan"])],
+        "render": ["render", *instance, "--plan", str(paths["plan"]),
+                   "--out", str(case / "frames")],
+    }
+    for command, argv in runs.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (command, code)
+        expected = _format_error(command, paths["map"], paths["scen"], paths["plan"])
+        if code == 1:
+            assert err.getvalue().startswith("error: "), (command, err.getvalue())
+        if expected is not None:
+            assert code == 1 and err.getvalue() == f"error: {expected}\n", command
+            assert re.match(r"(.+):([1-9][0-9]*): ", expected)[1] in map(str, paths.values())

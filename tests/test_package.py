@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import pickle
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mapfla
-from mapfla import harness
+from mapfla import fileio, harness
 from mapfla.harness import gen_roadmap, gen_scenario, run_bench
 from mapfla.model import Instance, Move, Roadmap, make_roadmap
 from mapfla.solver import SolverConfig, SolveStats
@@ -26,8 +27,9 @@ def test_public_names_resolve_and_exclude_solver_internals():
 # The modules ``perfbench/run.py`` imports in a fresh interpreter to time the
 # set-up, and the CLI's.
 MEASURED = ("harness", "model", "oracle", "solver", "validator", "cli")
-# Modules a solve never uses: the process pool's and the dataclass machinery.
-UNUSED = ("dataclasses", "inspect", "multiprocessing", "concurrent.futures.process")
+# Modules a solve never uses: the process pool's, the dataclass machinery and
+# logging, whose records the package drops unless something else imports it.
+UNUSED = ("dataclasses", "inspect", "logging", "multiprocessing", "concurrent.futures.process")
 
 _NEWLY_LOADED = (
     "import sys; sys.path[:0] = sys.argv[1:]; before = set(sys.modules); "
@@ -59,6 +61,54 @@ def test_the_cli_loads_the_svg_writer_only_to_render():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.split() == ["False"]
+
+
+def _run_python(code: str, tmp_path, env_log: str | None = None):
+    """Run ``code`` in a fresh interpreter that imports this checkout, in a
+    directory holding ``t.map`` and ``t.scen``: a small solvable instance."""
+    rm = make_roadmap([(0.0, 0.0), (2.0, 0.0), (4.0, 0.0)], [(0, 1), (1, 2)])
+    fileio.save_roadmap(tmp_path / "t.map", rm, 0.4)
+    fileio.save_scenario(tmp_path / "t.scen", "t.map", ((0, 2),))
+    env = {k: v for k, v in os.environ.items() if k != "MAPFLA_LOG"}
+    if env_log is not None:
+        env["MAPFLA_LOG"] = env_log
+    src = str(Path(mapfla.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = sys.argv[1:]; " + code, src],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+
+
+_CLI_SOLVE = (
+    "from mapfla import cli; "
+    "code = cli.main(['solve', '--map', 't.map', '--scen', 't.scen']); "
+    "print(code, 'logging' in sys.modules)"
+)
+
+
+def test_a_cli_solve_without_mapfla_log_loads_no_logging(tmp_path):
+    done = _run_python(_CLI_SOLVE, tmp_path)
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert done.stderr == ""
+
+
+def test_a_cli_solve_with_mapfla_log_trace_prints_the_solve_line(tmp_path):
+    done = _run_python(_CLI_SOLVE, tmp_path, env_log="trace")
+    assert done.stdout.splitlines()[-1] == "0 True"
+    assert done.stderr.startswith("mapfla.solver: solve: solved after 1 attempt(s), ")
+
+
+def test_logging_configured_after_the_import_gets_the_solve_record(tmp_path):
+    done = _run_python(
+        "import mapfla; import logging; logging.basicConfig(level=logging.INFO); "
+        "from mapfla import fileio; from mapfla.harness import Scenario, "
+        "instance_from_scenario; roadmap, radius = fileio.load_roadmap('t.map'); "
+        "scenario = Scenario(*fileio.load_scenario('t.scen')); "
+        "print(mapfla.solve(instance_from_scenario(roadmap, radius, scenario)).status)",
+        tmp_path,
+    )
+    assert done.stdout.split() == ["solved"]
+    assert done.stderr.startswith("INFO:mapfla.solver:solve: solved after 1 attempt(s), ")
 
 
 def test_a_parallel_bench_still_runs_on_a_process_pool(monkeypatch):
