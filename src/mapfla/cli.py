@@ -6,6 +6,7 @@ stderr: ``off`` (the default, also when unset or empty), ``info`` for one line
 per solve, or ``trace`` for the solver's debug lines as well, matched without
 regard to case; any other value is a usage error, exit 1, before the command
 runs.  Unless it is ``info`` or ``trace``, a call does not import ``logging``.
+A call leaves the "mapfla" logger's handlers and level as it found them.
 """
 
 from __future__ import annotations
@@ -46,20 +47,25 @@ class _Parser(argparse.ArgumentParser):
 _LOG_LEVELS = {"off": 60, "info": 20, "trace": 10}
 
 
-def _setup_logging() -> None:
+def _setup_logging():
+    """Point the "mapfla" logger at stderr with the ``MAPFLA_LOG`` level, and
+    return it with the handlers and level it had, or None when ``logging``
+    stays unloaded."""
     value = os.environ.get("MAPFLA_LOG") or "off"
     level = _LOG_LEVELS.get(value.lower())
     if level is None:
         raise _UsageError(f"MAPFLA_LOG must be off, info or trace, got {value!r}")
     if level == _LOG_LEVELS["off"] and "logging" not in sys.modules:
-        return  # nothing can emit a record before some code imports logging
+        return None  # nothing can emit a record before some code imports logging
     import logging
 
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    root = logging.getLogger("mapfla")
-    root.handlers[:] = [handler]
-    root.setLevel(level)
+    logger = logging.getLogger("mapfla")
+    saved = logger, logger.handlers[:], logger.level
+    logger.handlers[:] = [handler]
+    logger.setLevel(level)
+    return saved
 
 
 def _parse_n_range(spec: str) -> list[int]:
@@ -221,13 +227,19 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    saved = None
     try:
-        _setup_logging()
+        saved = _setup_logging()
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, fileio.FileFormatError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if saved is not None:  # this call's diagnostics end with it
+            logger, handlers, level = saved
+            logger.handlers[:] = handlers
+            logger.setLevel(level)
 
 
 def entry() -> None:

@@ -19,10 +19,8 @@ from collections import Counter, deque
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Instance, Roadmap, edge_key
-from .solver import FAILED, LA, NAIVE, SOLVED, TIMEOUT, LazyLogger, SolverConfig, solve
+from .solver import FAILED, INFO, LA, NAIVE, SOLVED, TIMEOUT, SolverConfig, log, solve
 from .validator import validate_plan
-
-log = LazyLogger("mapfla.harness")
 
 
 class RoadmapGenError(RuntimeError):
@@ -413,8 +411,6 @@ def run_bench(
                         mean_ms=sum(ms for _, ms in cell) / total,
                     )
                 )
-                log.info(
-                    "bench %s %s n=%d: %d/%d solved",
-                    name, mode, n, rows[-1].solved, total,
-                )
+                log(__name__, INFO, "bench %s %s n=%d: %d/%d solved",
+                    name, mode, n, rows[-1].solved, total)
     return BenchReport(rows=tuple(rows))

@@ -88,40 +88,17 @@ from .model import (
 )
 
 
-class LazyLogger:
-    """The logger ``name`` without importing :mod:`logging`.
-
-    Until something imports ``logging`` no handler or level exists, so a
-    record would be dropped: each call returns at once.  Once a user, a test
-    or ``MAPFLA_LOG`` has imported it, the calls go to
-    ``logging.getLogger(name)``, found once and kept, and name their caller
-    as the record's origin.
-    """
-
-    __slots__ = ("name", "_logger")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._logger = None
-
-    def _find(self):
-        logging = sys.modules.get("logging")
-        if logging is not None:
-            self._logger = logging.getLogger(self.name)
-        return self._logger
-
-    def info(self, msg: str, *args) -> None:
-        logger = self._logger or self._find()
-        if logger is not None:
-            logger.info(msg, *args, stacklevel=2)
-
-    def debug(self, msg: str, *args) -> None:
-        logger = self._logger or self._find()
-        if logger is not None:
-            logger.debug(msg, *args, stacklevel=2)
+INFO, DEBUG = 20, 10  # the levels of logging.INFO and logging.DEBUG
 
 
-log = LazyLogger("mapfla.solver")
+def log(name: str, level: int, msg: str, *args) -> None:
+    """Hand ``msg % args`` at ``level`` to the logger ``name``, naming the
+    caller as its origin, once some other code has imported :mod:`logging`:
+    until then no handler or level exists, and the record is dropped."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).log(level, msg, *args, stacklevel=2)
+
 
 LA = "la"
 NAIVE = "naive"
@@ -474,7 +451,7 @@ class Workspace:
             if v_p in self.at:
                 ret = self.push_through_v_from(view, v_p, edge, depth)
                 if ret is None:
-                    log.debug("edge %s: vertex %d not cleared", edge, v_p)
+                    log(__name__, DEBUG, "edge %s: vertex %d not cleared", edge, v_p)
                     self.rollback(entry)
                     return None
                 rev_acc.extend(m for m in ret if m.agent != mover)
@@ -653,7 +630,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         stats.moves = len(plan) if plan is not None else 0
         stats.bands_computed = len(bands) - held
         stats.hop_tables_computed = len(goal_hops) - hops_held
-        log.info(
+        log(
+            __name__, INFO,
             "solve: %s after %d attempt(s), %.1f ms, %d move-la calls, "
             "%d goal hop tables computed, "
             "%d edge bands held from earlier solves, %d of %d edge bands computed",
@@ -742,7 +720,8 @@ def _solve_single_order(ws: Workspace, order: tuple[int, ...]) -> bool:
         if displaced:
             key = (tuple(ws.pos), tuple(queue), tuple(locked))
             if key in seen:
-                log.debug("outer loop state repeated: agents %s re-queued", displaced)
+                log(__name__, DEBUG, "outer loop state repeated: agents %s re-queued",
+                    displaced)
                 return False
             seen.add(key)
     return True
@@ -761,10 +740,8 @@ def _plan_agent(
         while ws.pos[agent] != goal:
             key = (tuple(ws.pos), view.removed)
             if key in seen:
-                log.debug(
-                    "agent %d at vertex %d: cycle cut, %d moves dropped",
-                    agent, ws.pos[agent], len(ws.plan) - seen[key],
-                )
+                log(__name__, DEBUG, "agent %d at vertex %d: cycle cut, %d moves dropped",
+                    agent, ws.pos[agent], len(ws.plan) - seen[key])
                 ws.rollback(seen[key])
                 break
             seen[key] = len(ws.plan)
@@ -796,7 +773,7 @@ def _plan_agent(
                 view = base
         if ws.pos[agent] == goal:
             return True
-    log.debug("agent %d given up at vertex %d, goal %d", agent, ws.pos[agent], goal)
+    log(__name__, DEBUG, "agent %d given up at vertex %d, goal %d", agent, ws.pos[agent], goal)
     return False
 
 

@@ -478,16 +478,6 @@ def test_bench_rejects_unknown_mode_before_solving(monkeypatch, capsys):
 # -- MAPFLA_LOG ----------------------------------------------------------------
 
 
-@pytest.fixture
-def mapfla_logger():
-    """Puts back the handlers and level ``main`` gives the "mapfla" logger."""
-    logger = logging.getLogger("mapfla")
-    handlers, level = logger.handlers[:], logger.level
-    yield
-    logger.handlers[:] = handlers
-    logger.setLevel(level)
-
-
 def _solve_with_log(tmp_path, monkeypatch, value, instance, *options):
     if value is None:
         monkeypatch.delenv("MAPFLA_LOG", raising=False)
@@ -498,8 +488,7 @@ def _solve_with_log(tmp_path, monkeypatch, value, instance, *options):
 
 
 @pytest.mark.parametrize("value", [None, "", "off", "OFF"], ids=["unset", "empty", "off", "OFF"])
-def test_mapfla_log_off_prints_no_diagnostics(tmp_path, monkeypatch, capsys, mapfla_logger,
-                                              value):
+def test_mapfla_log_off_prints_no_diagnostics(tmp_path, monkeypatch, capsys, value):
     code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance(),
                            "--order", "perm:1,0")
     captured = capsys.readouterr()
@@ -509,8 +498,7 @@ def test_mapfla_log_off_prints_no_diagnostics(tmp_path, monkeypatch, capsys, map
 
 
 @pytest.mark.parametrize("value", ["info", "trace", "TRACE"])
-def test_mapfla_log_info_and_trace_print_the_solve_line(tmp_path, monkeypatch, capsys,
-                                                        mapfla_logger, value):
+def test_mapfla_log_info_and_trace_print_the_solve_line(tmp_path, monkeypatch, capsys, value):
     code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance(),
                            "--order", "perm:1,0")
     captured = capsys.readouterr()
@@ -522,7 +510,7 @@ def test_mapfla_log_info_and_trace_print_the_solve_line(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("value, traced", [("info", False), ("trace", True)])
 def test_only_mapfla_log_trace_prints_the_debug_lines(tmp_path, monkeypatch, capsys,
-                                                      mapfla_logger, value, traced):
+                                                      value, traced):
     assert _solve_with_log(tmp_path, monkeypatch, value, case3_instance()) == 2
     err = capsys.readouterr().err
     assert ("mapfla.solver: edge (0, 1): vertex 2 not cleared\n" in err) is traced
@@ -530,14 +518,34 @@ def test_only_mapfla_log_trace_prints_the_debug_lines(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("value", ["debug", "1", "info "])
-def test_an_unknown_mapfla_log_value_is_a_usage_error(tmp_path, monkeypatch, capsys,
-                                                      mapfla_logger, value):
+def test_an_unknown_mapfla_log_value_is_a_usage_error(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setattr(cli, "solve", lambda *a, **k: pytest.fail("solved"))
     code = _solve_with_log(tmp_path, monkeypatch, value, ordering_instance())
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: MAPFLA_LOG must be off, info or trace, got {value!r}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, argv, code", [
+    (None, (), 0),
+    ("off", (), 0),
+    ("info", (), 0),
+    ("trace", (), 0),
+    ("debug", (), 1),
+    ("trace", ("solve", "--scen", "log.scen"), 1),
+], ids=["unset", "off", "info", "trace", "unknown", "no-map"])
+def test_main_leaves_the_mapfla_logger_as_it_found_it(tmp_path, monkeypatch, capsys,
+                                                      value, argv, code):
+    logger = logging.getLogger("mapfla")
+    before = logger.handlers[:], logger.level
+    if argv:
+        monkeypatch.setenv("MAPFLA_LOG", value)
+        assert main(list(argv)) == code
+    else:
+        assert _solve_with_log(tmp_path, monkeypatch, value, ordering_instance(),
+                               "--order", "perm:1,0") == code
+    assert (logger.handlers, logger.level) == before
 
 
 # -- malformed files through the CLI ---------------------------------------------
@@ -626,7 +634,7 @@ def _format_error(command: str, map_path, scen_path, plan_path) -> str | None:
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_mutated_file_gives_an_exit_code_and_an_error_line(gen_files, mapfla_logger, data):
+def test_a_mutated_file_gives_an_exit_code_and_an_error_line(gen_files, data):
     files, case = gen_files
     # One file a case: a map that does not parse would hide the other two.
     mutate = data.draw(st.sampled_from(sorted(files)), label="mutate")

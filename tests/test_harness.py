@@ -1,4 +1,5 @@
 import concurrent.futures
+import logging
 import math
 
 import pytest
@@ -153,13 +154,19 @@ def _small_bench(jobs=1):
     )
 
 
-def test_run_bench_counts_sum_and_rates():
+def test_run_bench_counts_sum_and_rates(caplog):
+    caplog.set_level(logging.INFO, logger="mapfla.harness")
     report = _small_bench()
     assert len(report.rows) == 6
     for row in report.rows:
         assert row.solved + row.failed + row.timeout == 4
         assert row.success_rate == pytest.approx(row.solved / 4)
         assert row.mean_ms >= 0
+    lines = [r for r in caplog.records if r.name == "mapfla.harness"]
+    assert [r.getMessage() for r in lines] == [
+        f"bench tiny {row.mode} n={row.n}: {row.solved}/4 solved" for row in report.rows
+    ]
+    assert {(r.funcName, r.filename) for r in lines} == {("run_bench", "harness.py")}
 
 
 def test_run_bench_reproducible_outcomes():

@@ -111,6 +111,21 @@ def test_logging_configured_after_the_import_gets_the_solve_record(tmp_path):
     assert done.stderr.startswith("INFO:mapfla.solver:solve: solved after 1 attempt(s), ")
 
 
+def test_a_solve_after_an_in_process_cli_call_reaches_the_callers_handler(tmp_path):
+    done = _run_python(
+        "import logging; logging.basicConfig(level=logging.INFO); import mapfla; "
+        "from mapfla import cli, fileio; from mapfla.harness import Scenario, "
+        "instance_from_scenario; "
+        "code = cli.main(['gen', '--seed', '1', '--scenarios', '0', '--out', 'gen']); "
+        "roadmap, radius = fileio.load_roadmap('t.map'); "
+        "scenario = Scenario(*fileio.load_scenario('t.scen')); "
+        "print(code, mapfla.solve(instance_from_scenario(roadmap, radius, scenario)).status)",
+        tmp_path,
+    )
+    assert done.stdout.splitlines()[-1] == "0 solved"
+    assert done.stderr.startswith("INFO:mapfla.solver:solve: solved after 1 attempt(s), ")
+
+
 def test_a_parallel_bench_still_runs_on_a_process_pool(monkeypatch):
     created = []
 

@@ -181,6 +181,11 @@ def test_trace_log_names_the_uncleared_edge_and_the_given_up_agent(caplog):
     debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
     assert "edge (0, 1): vertex 2 not cleared" in debug
     assert debug[-1] == "agent 0 given up at vertex 0, goal 1"
+    origin = {r.getMessage(): r.funcName for r in caplog.records}
+    assert origin["edge (0, 1): vertex 2 not cleared"] == "reversable_edge_cleaning"
+    assert origin[debug[-1]] == "_plan_agent"
+    assert caplog.records[-1].funcName == "finish"
+    assert {r.filename for r in caplog.records} == {"solver.py"}
 
 
 def test_solved_plans_validate_fuzz():
@@ -536,6 +541,9 @@ def test_each_cycle_cut_is_logged_once(monkeypatch, caplog):
     cuts = [tuple(map(int, m.groups())) for m in logged if m is not None]
     assert cuts == [cut for found in attempts for cut in found]
     assert all(dropped > 0 for _, _, dropped in cuts)
+    assert {(r.funcName, r.filename) for r, m in zip(caplog.records, logged) if m} == {
+        ("_plan_agent", "solver.py")
+    }
 
 
 @pytest.mark.parametrize("mode", ["la", "naive"])
@@ -568,7 +576,9 @@ def test_a_repeated_outer_loop_state_fails_the_ordering_once_logged(caplog):
     result = solve(toy_instance(143, 12, 5), cfg(mode="la"))
     assert result.status == FAILED
     pattern = re.compile(r"outer loop state repeated: agents \[[\d, ]+\] re-queued")
-    assert sum(bool(pattern.fullmatch(r.getMessage())) for r in caplog.records) == 1
+    repeated = [r for r in caplog.records if pattern.fullmatch(r.getMessage())]
+    assert len(repeated) == 1
+    assert (repeated[0].funcName, repeated[0].filename) == ("_solve_single_order", "solver.py")
     assert result.stats.move_la_calls < 127
 
 
