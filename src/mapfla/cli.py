@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import fileio, harness
 from .harness import PRESETS, gen_preset, gen_scenario
-from .model import Instance, Plan
+from .model import Instance, Plan, Roadmap
 from .solver import (
     SOLVED,
     TIMEOUT,
@@ -77,9 +77,19 @@ def _parse_n_range(spec: str) -> list[int]:
     return [int(spec)]
 
 
-def _check_pairs(pairs: int, n_vertices: int) -> None:
-    if not 1 <= pairs <= n_vertices:
-        raise _UsageError(f"--pairs must be in 1..{n_vertices}, got {pairs}")
+def _preset_scenarios(args, name: str) -> tuple[Roadmap, float, list[harness.Scenario]]:
+    """The ``--preset`` roadmap of ``--seed``, its radius, and ``--scenarios``
+    scenarios of ``--pairs`` pairs each, named ``name``."""
+    if args.scenarios < 0:
+        raise _UsageError(f"--scenarios must be >= 0, got {args.scenarios}")
+    roadmap, radius = gen_preset(args.preset, args.seed)
+    if not 1 <= args.pairs <= roadmap.n_vertices:
+        raise _UsageError(f"--pairs must be in 1..{roadmap.n_vertices}, got {args.pairs}")
+    scenarios = [
+        gen_scenario(roadmap, args.pairs, seed=args.seed * 10_000 + i, name=name)
+        for i in range(args.scenarios)
+    ]
+    return roadmap, radius, scenarios
 
 
 def _load_instance(map_path: str, scen_path: str, agents: int | None) -> Instance:
@@ -119,20 +129,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.scenarios < 0:
-        raise _UsageError(f"--scenarios must be >= 0, got {args.scenarios}")
-    roadmap, radius = gen_preset(args.preset, args.seed)
-    _check_pairs(args.pairs, roadmap.n_vertices)
+    stem = f"{args.preset}-{args.seed}"
+    roadmap, radius, scenarios = _preset_scenarios(args, f"{stem}.map")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = f"{args.preset}-{args.seed}"
     map_path = out_dir / f"{stem}.map"
     fileio.save_roadmap(map_path, roadmap, radius)
     written = [map_path]
-    for i in range(args.scenarios):
-        scenario = gen_scenario(
-            roadmap, args.pairs, seed=args.seed * 10_000 + i, name=map_path.name
-        )
+    for i, scenario in enumerate(scenarios):
         scen_path = out_dir / f"{stem}-scen{i:02d}.scen"
         fileio.save_scenario(scen_path, scenario.roadmap_name, scenario.pairs)
         written.append(scen_path)
@@ -146,14 +150,9 @@ def cmd_bench(args) -> int:
     if not modes:
         raise _UsageError("--modes names no mode")
     n_values = _parse_n_range(args.n)
-    roadmap, radius = gen_preset(args.preset, args.seed)
-    _check_pairs(args.pairs, roadmap.n_vertices)
+    roadmap, radius, scenarios = _preset_scenarios(args, args.preset)
     if min(n_values) < 1 or max(n_values) > args.pairs:
         raise _UsageError(f"--n {args.n} must lie in 1..{args.pairs}, the --pairs count")
-    scenarios = [
-        gen_scenario(roadmap, args.pairs, seed=args.seed * 10_000 + i, name=args.preset)
-        for i in range(args.scenarios)
-    ]
     report = harness.run_bench(
         {args.preset: (roadmap, radius)},
         {args.preset: scenarios},

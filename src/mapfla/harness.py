@@ -15,7 +15,7 @@ import math
 import os
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import Instance, Roadmap, edge_key
@@ -219,15 +219,13 @@ def _largest_component(n: int, edges: Iterable[tuple[int, int]]) -> set[int]:
         if s in seen:
             continue
         comp = {s}
-        queue = deque([s])
-        seen.add(s)
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
                     comp.add(w)
-                    queue.append(w)
+                    stack.append(w)
+        seen |= comp
         if len(comp) > len(best):
             best = comp
     return best
@@ -353,7 +351,10 @@ def run_bench(
     are tasks or CPUs; with one, it runs in this process.  Each worker gets
     every roadmap once, when it starts, and a task names its roadmap, so the
     solves a process runs on one roadmap share its interference table.
-    Every solved plan is re-validated before it counts; an invalid one raises
+    With ``jobs`` above 1, the band and hop-table counts of each ``solve:``
+    log line therefore depend on which worker ran which earlier task; the
+    rows' solved, failed and timeout counts do not.  Every solved plan is
+    re-validated before it counts; an invalid one raises
     :class:`BenchSoundnessError` and aborts the benchmark.  Raises
     ``ValueError`` before any solve when ``jobs`` < 1, a mode is unknown or
     repeats, a roadmap has no scenarios, or some ``n`` is outside 1..pairs.
@@ -365,17 +366,18 @@ def run_bench(
     for mode in modes:
         if mode not in (LA, NAIVE):
             raise ValueError(f"unknown mode {mode!r}")
-    tasks = []
     for name in sorted(roadmaps):
         if not scenarios[name]:
             raise ValueError(f"roadmap {name!r} has no scenarios")
         fewest = min(len(scenario.pairs) for scenario in scenarios[name])
         if any(not 1 <= n <= fewest for n in n_values):
             raise ValueError(f"agent counts {list(n_values)} must lie in 1..{fewest}")
-        for mode in modes:
-            for n in n_values:
-                for si, scenario in enumerate(scenarios[name]):
-                    tasks.append((name, si, scenario, n, mode, time_limit))
+    cells = [(name, mode, n) for name in sorted(roadmaps) for mode in modes for n in n_values]
+    tasks = [
+        (name, si, scenario, n, mode, time_limit)
+        for name, mode, n in cells
+        for si, scenario in enumerate(scenarios[name])
+    ]
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -393,24 +395,22 @@ def run_bench(
 
     outcomes = iter(results)  # in task order
     rows = []
-    for name in sorted(roadmaps):
-        for mode in modes:
-            for n in n_values:
-                cell = [next(outcomes) for _ in scenarios[name]]
-                counts = Counter(s for s, _ in cell)
-                total = len(cell)
-                rows.append(
-                    BenchRow(
-                        roadmap=name,
-                        mode=mode,
-                        n=n,
-                        solved=counts[SOLVED],
-                        failed=counts[FAILED],
-                        timeout=counts[TIMEOUT],
-                        success_rate=counts[SOLVED] / total,
-                        mean_ms=sum(ms for _, ms in cell) / total,
-                    )
-                )
-                log(__name__, INFO, "bench %s %s n=%d: %d/%d solved",
-                    name, mode, n, rows[-1].solved, total)
+    for name, mode, n in cells:
+        cell = [next(outcomes) for _ in scenarios[name]]
+        counts = Counter(s for s, _ in cell)
+        total = len(cell)
+        rows.append(
+            BenchRow(
+                roadmap=name,
+                mode=mode,
+                n=n,
+                solved=counts[SOLVED],
+                failed=counts[FAILED],
+                timeout=counts[TIMEOUT],
+                success_rate=counts[SOLVED] / total,
+                mean_ms=sum(ms for _, ms in cell) / total,
+            )
+        )
+        log(__name__, INFO, "bench %s %s n=%d: %d/%d solved",
+            name, mode, n, rows[-1].solved, total)
     return BenchReport(rows=tuple(rows))

@@ -31,10 +31,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .geometry import EPS, Point2D, clearance_threshold, dist, segdist
 
@@ -71,8 +70,8 @@ class Roadmap:
     # solve at that radius and shared by every later one.
     interference_tables: dict[float, InterferenceCache]
     # Per goal vertex, the BFS of ``hops_to``: its distance list, last layer
-    # and depth while it grows, the finished ``array`` once it is exhausted.
-    goal_hops: dict[int, array | tuple[list[int], list[int], int]]
+    # and depth; the last layer is empty once the BFS is exhausted.
+    goal_hops: dict[int, tuple[list[int], list[int], int]]
     # The plan validator's own band table (``validator.EdgeBands``) per agent
     # radius, added by the first validation at that radius.
     edge_bands: dict[float, EdgeBands]
@@ -226,7 +225,7 @@ class Roadmap:
             ])
         return lines
 
-    def hops_to(self, goal: int, src: int | None = None) -> Sequence[int]:
+    def hops_to(self, goal: int, src: int | None = None) -> list[int]:
         """The hop distance from every vertex to ``goal``, ``n_vertices``
         where it is not known to be finite, by a BFS over :attr:`adjacency`
         kept in :attr:`goal_hops` and grown only as far as a call needs.
@@ -234,21 +233,18 @@ class Roadmap:
         With ``src``, the BFS grows whole layers until ``src`` is settled or
         the BFS is exhausted: if ``src`` is at depth D, every vertex within D
         hops of ``goal`` then holds its distance, and every other one reads
-        ``n_vertices``.  Without ``src``, the BFS is finished.  A finished
-        BFS is stored as an ``array`` of small unsigned ints, which takes a
-        fraction of the memory of the list it grew in.  A BFS grows in
-        place, so two threads must not search one roadmap at once.
+        ``n_vertices``.  Without ``src``, the BFS is finished.  The list
+        returned is the table's own, and a BFS grows in place, so two threads
+        must not search one roadmap at once.
         """
         hops = self.goal_hops.get(goal)
-        if type(hops) is array:
-            return hops
         n = len(self.points)
         if hops is None:
             dist = [n] * n
             dist[goal] = 0
             hops = self.goal_hops[goal] = dist, [goal], 0
         dist, frontier, k = hops
-        if src is not None and dist[src] < n:
+        if not frontier or src is not None and dist[src] < n:
             return dist
         adjacency = self.adjacency
         while frontier and (src is None or dist[src] == n):
@@ -260,11 +256,8 @@ class Roadmap:
                         dist[w] = k
                         nxt.append(w)
             frontier = nxt
-        if frontier:
-            self.goal_hops[goal] = dist, frontier, k
-            return dist
-        hops = self.goal_hops[goal] = array("H" if n < 1 << 16 else "L", dist)
-        return hops
+        self.goal_hops[goal] = dist, frontier, k
+        return dist
 
 
 class Instance(NamedTuple):

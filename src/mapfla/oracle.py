@@ -41,7 +41,7 @@ def joint_bfs_solve(instance: Instance, node_budget: int = 1_000_000) -> OracleR
     endpoint outside ``0..|V|-1``, raises ``ValueError``.
 
     The heuristic is ``h = sum(roadmap.hops_to(goals[i])[pos[i]])``, read
-    from the hop arrays the roadmap keeps (a solve on the same roadmap has
+    from the hop lists the roadmap keeps (a solve on the same roadmap has
     usually filled them).  A move shifts one agent by one edge, so ``h`` is
     consistent: each state is expanded at most once, the goal is tested when
     a state leaves the heap, and entries left behind by a shorter path are

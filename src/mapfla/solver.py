@@ -650,15 +650,12 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
         ws.rollback(0)
         stats.attempts += 1
         try:
-            ok: bool | None = _solve_single_order(ws, order)
+            if _solve_single_order(ws, order):
+                return finish(SOLVED, list(ws.plan))
         except _NaiveHalt:
-            ok = False
+            pass
         except _TimeUp:
-            ok = None
-        if ok is None:
             return finish(TIMEOUT, None)
-        if ok:
-            return finish(SOLVED, list(ws.plan))
     return finish(FAILED, None)
 
 

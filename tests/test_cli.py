@@ -441,6 +441,14 @@ def test_bench_rejects_empty_scenario_set(capsys):
     assert captured.out == ""
 
 
+def test_bench_rejects_negative_scenarios(capsys):
+    code = main(["bench", "--scenarios", "-1", "--modes", "naive", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--scenarios must be >= 0, got -1" in captured.err
+    assert captured.out == ""
+
+
 def test_bench_rejects_reversed_n_range(capsys):
     code = main(["bench", "--scenarios", "1", "--modes", "naive", "--n", "5..2"])
     captured = capsys.readouterr()

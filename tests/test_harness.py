@@ -1,6 +1,7 @@
 import concurrent.futures
 import logging
 import math
+import re
 
 import pytest
 
@@ -175,6 +176,25 @@ def test_run_bench_reproducible_outcomes():
     for ra, rb in zip(a.rows, b.rows):
         assert (ra.roadmap, ra.mode, ra.n) == (rb.roadmap, rb.mode, rb.n)
         assert (ra.solved, ra.failed) == (rb.solved, rb.failed)
+
+
+def test_serial_runs_on_fresh_roadmaps_print_the_same_solve_lines(caplog):
+    """At ``jobs=1`` the tasks run in grid order in this process, so each
+    ``solve:`` line's band and hop-table counts repeat from run to run."""
+    caplog.set_level(logging.INFO, logger="mapfla.solver")
+    runs = []
+    for _ in range(2):
+        caplog.clear()
+        rm, radius = gen_preset("sparse-like", 2)
+        scens = [gen_scenario(rm, 12, seed=i, name="sparse") for i in range(3)]
+        run_bench({"sparse": (rm, radius)}, {"sparse": scens}, ["la", "naive"], [4, 8, 12],
+                  time_limit=60.0)
+        runs.append([
+            re.sub(r", [0-9.]+ ms, ", ", ms, ", r.getMessage())
+            for r in caplog.records if r.getMessage().startswith("solve: ")
+        ])
+    assert len(runs[0]) == 2 * 3 * 3 and runs[0] == runs[1]
+    assert all(", ms, " in line for line in runs[0])
 
 
 def test_run_bench_la_dominates_naive():

@@ -183,7 +183,7 @@ def test_a_pickled_roadmap_keeps_its_tables_and_caches():
     copy = pickle.loads(pickle.dumps(rm))
     assert copy == rm and copy is not rm
     assert {name: vars(copy)[name] for name in tables} == tables
-    assert list(copy.goal_hops[2]) == list(rm.goal_hops[2]) == [2, 1, 0]
+    assert copy.goal_hops[2] == rm.goal_hops[2] == ([2, 1, 0], [], 3)
     assert copy.interference_tables == copy.edge_bands == {}
 
 
@@ -206,3 +206,25 @@ def test_solve_stats_start_at_zero_and_compare_by_value():
     )
     stats.moves += 3
     assert stats == SolveStats(moves=3) and stats != SolveStats()
+
+
+# -- line counts ---------------------------------------------------------------
+
+
+def test_the_line_counts_of_each_module_sum_to_its_lines(capsys):
+    import line_counts
+
+    source = '"""Doc,\n\non two lines."""\n# note\n\nx = """a\n\nb"""  # tail\n'
+    assert line_counts.count(source) == {
+        "lines": 8, "code": 3, "docstrings": 3, "comments": 1, "blank": 1,
+    }
+    per_file = line_counts.package_counts()
+    assert {"model.py", "solver.py", "cli.py"} <= set(per_file)
+    for name, counts in per_file.items():
+        parts = counts["code"] + counts["docstrings"] + counts["comments"] + counts["blank"]
+        assert parts == counts["lines"] > 0, name
+    assert line_counts.main([]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total == ["total"] + [
+        str(sum(c[kind] for c in per_file.values())) for kind in line_counts.KINDS
+    ]

@@ -161,6 +161,21 @@ def test_goal_hops_leave_equality_hash_and_repr_alone():
     assert repr(roadmap) == before == repr(copy)
 
 
+def test_an_exhausted_goal_bfs_keeps_its_one_form_and_its_objects():
+    # The path 0-1-2 and the edge 3-4: no search from 3 ever reaches 0.
+    roadmap = make_roadmap([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 3.0), (1.0, 3.0)],
+                           [(0, 1), (1, 2), (3, 4)])
+    dist = roadmap.hops_to(0, 3)
+    kept = roadmap.goal_hops[0]
+    assert kept == ([0, 1, 2, 5, 5], [], 3) and kept[0] is dist
+    assert roadmap.hops_to(0) is dist and roadmap.hops_to(0, 1) is dist
+    assert roadmap.goal_hops[0] is kept
+    result = solve(Instance(roadmap, 0.2, (3,), (0,)))
+    assert result.status == "failed" and result.stats.hop_tables_computed == 0
+    assert roadmap.goal_hops[0] is kept and kept[0] is dist
+    assert kept == ([0, 1, 2, 5, 5], [], 3)
+
+
 def test_an_unreferenced_roadmap_is_freed_without_the_cyclic_collector():
     roadmap, radius = gen_preset("dense-like", 1)
     scen = gen_scenario(roadmap, 6, seed=1)
