@@ -15,9 +15,9 @@ validator's own band table per radius (:attr:`Roadmap.edge_bands`).  The
 radius check (:func:`radius_issues`), the edge list check
 (:attr:`Roadmap.edge_issues`) and the start/goal assignment check
 (:func:`assignment_issues`) serve roadmap validation, the plan validator and
-the oracle.  One pass over the edge list gives the edge list check, the
-edge set and the adjacency together, and one pass over the points gives the
-x order and the coordinate check.
+the oracle.  One method fills the edge list check, the edge set, the
+adjacency, the x order and the coordinate check together, on the first read
+of any of them.
 
 Conventions used throughout the package:
 
@@ -41,6 +41,8 @@ if TYPE_CHECKING:
     from .validator import EdgeBands
 
 Edge = tuple[int, int]
+# The names under which ``Roadmap._tables`` stores its five tables, in order.
+_TABLES = ("edge_set", "adjacency", "edge_issues", "x_order", "vertex_issues")
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -116,84 +118,77 @@ class Roadmap:
     def edge_set(self) -> frozenset[Edge]:
         """Every edge's canonical key but self-loops', edges to missing
         vertices included."""
-        return self._edge_tables()[0]
+        return self._tables()[0]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbours in increasing id order, over the edges
         that join two distinct vertices of the roadmap."""
-        return self._edge_tables()[1]
-
-    @cached_property
-    def x_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Ids of the finite vertices sorted by x, ties in id order, and
-        their x coordinates."""
-        return self._point_tables()[0]
+        return self._tables()[1]
 
     @cached_property
     def edge_issues(self) -> tuple[str, ...]:
         """One line per edge to a missing vertex, self-loop and duplicate
         edge, in edge order; empty iff every edge joins two distinct
         vertices of the roadmap and no edge repeats."""
-        return self._edge_tables()[2]
+        return self._tables()[2]
 
-    def _edge_tables(
-        self,
-    ) -> tuple[frozenset[Edge], tuple[tuple[int, ...], ...], tuple[str, ...]]:
-        """``edge_set``, ``adjacency`` and ``edge_issues`` from one pass over
-        the edge list, all three stored at once, so the first of them read
-        is the only one whose descriptor runs."""
-        n = len(self.points)
+    @cached_property
+    def x_order(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Ids of the finite vertices sorted by x, ties in id order, and
+        their x coordinates."""
+        return self._tables()[3]
+
+    @cached_property
+    def vertex_issues(self) -> tuple[str, ...]:
+        """One line per vertex with a non-finite coordinate, in id order."""
+        return self._tables()[4]
+
+    def _tables(self) -> tuple:
+        """``edge_set``, ``adjacency``, ``edge_issues``, ``x_order`` and
+        ``vertex_issues`` from one pass over the edge list and one over the
+        points, all five stored at once, so the first of them read is the
+        only one whose descriptor runs."""
+        pts = self.points
+        n = len(pts)
         keys: set[Edge] = set()
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        issues: list[str] = []
+        edge_issues: list[str] = []
         for e in self.edge_list:
             u, v = k = e
             if u > v:  # a canonical edge is its own key: no new tuple
                 u, v = k = v, u
             if u < 0 or v >= n:
-                issues.append(f"edge ({e[0]}, {e[1]}) references a missing vertex")
+                edge_issues.append(f"edge ({e[0]}, {e[1]}) references a missing vertex")
                 if u != v:
                     keys.add(k)
             elif u == v:
-                issues.append(f"edge ({u}, {v}) is a self-loop")
+                edge_issues.append(f"edge ({u}, {v}) is a self-loop")
             elif k in keys:
-                issues.append(f"duplicate edge ({u}, {v})")
+                edge_issues.append(f"duplicate edge ({u}, {v})")
             else:
                 keys.add(k)
                 nbrs[u].append(v)
                 nbrs[v].append(u)
         for s in nbrs:
             s.sort()
-        tables = frozenset(keys), tuple(map(tuple, nbrs)), tuple(issues)
-        self.__dict__.update(zip(("edge_set", "adjacency", "edge_issues"), tables))
-        return tables
-
-    @cached_property
-    def vertex_issues(self) -> tuple[str, ...]:
-        """One line per vertex with a non-finite coordinate, in id order."""
-        return self._point_tables()[1]
-
-    def _point_tables(
-        self,
-    ) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], tuple[str, ...]]:
-        """``x_order`` and ``vertex_issues`` from one pass over the points,
-        both stored at once, as :meth:`_edge_tables` stores its three."""
         isfinite = math.isfinite
-        pts = self.points
         order: list[int] = []
-        issues: list[str] = []
+        vertex_issues: list[str] = []
         for v, (x, y) in enumerate(pts):
             if isfinite(x) and isfinite(y):
                 order.append(v)
             else:
-                issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
+                vertex_issues.append(f"vertex {v} has non-finite coordinates ({x!r}, {y!r})")
         # A stable sort keyed by a bound method: equal x stay in id order,
         # and no Python-level key function runs.
         xs = [p[0] for p in pts]
         order.sort(key=xs.__getitem__)
-        tables = (tuple(order), tuple(map(xs.__getitem__, order))), tuple(issues)
-        self.__dict__.update(zip(("x_order", "vertex_issues"), tables))
+        tables = (
+            frozenset(keys), tuple(map(tuple, nbrs)), tuple(edge_issues),
+            (tuple(order), tuple(map(xs.__getitem__, order))), tuple(vertex_issues),
+        )
+        self.__dict__.update(zip(_TABLES, tables))
         return tables
 
     def separation_issues(self, radius: float) -> tuple[str, ...]:

@@ -310,7 +310,7 @@ class Workspace:
     Every mutation goes through :meth:`try_move`, which enforces full
     transition legality (edge exists, mover present, target free, no occupied
     interfering vertex), so whatever ends up in ``plan`` is valid from the
-    instance start.  ``mark``/``rollback`` give exact transactional undo.
+    instance start.  A plan length and ``rollback`` give exact transactional undo.
     ``bands`` is the roadmap's :class:`InterferenceCache` for the instance's
     radius, created here on the first workspace at that radius and read by
     indexing alone: a miss computes the band, and a non-edge gives None.
@@ -318,9 +318,7 @@ class Workspace:
     it edge by edge.
     """
 
-    def __init__(
-        self, instance: Instance, *, mode: str = LA, deadline: float | None = None
-    ):
+    def __init__(self, instance: Instance, *, mode: str = LA, deadline: float = math.inf):
         self.instance = instance
         tables = instance.roadmap.interference_tables
         bands = tables.get(instance.radius)
@@ -338,9 +336,6 @@ class Workspace:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def mark(self) -> int:
-        return len(self.plan)
-
     def rollback(self, mark: int) -> None:
         while len(self.plan) > mark:
             # Unpacked: a tuple unpack costs less than three field reads.
@@ -350,7 +345,7 @@ class Workspace:
             self.pos[agent] = src
 
     def check_time(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise _TimeUp()
 
     # -- checked moves ----------------------------------------------------
@@ -408,7 +403,7 @@ class Workspace:
             return False
         if self.try_move(agent, v_from, v_to):
             return True  # nothing in the band: the clearing would move no one
-        entry = self.mark()
+        entry = len(self.plan)
         rev = self.reversable_edge_cleaning(view, v_from, v_to, depth)
         if rev is None:
             self.stats.case3_failures += 1
@@ -433,7 +428,7 @@ class Workspace:
         and returns None at the first vertex that cannot be cleared, which
         is the unresolved-interference case the algorithm does not handle.
         """
-        entry = self.mark()
+        entry = len(self.plan)
         mover = self.at[v_from]
         edge = (v_from, v_to)
         rev_acc: list[Move] = []
@@ -441,7 +436,7 @@ class Workspace:
 
         band = self.bands[edge_key(v_from, v_to)]
         for v_p in sorted(v for v in band if v in self.at):
-            seg_start = self.mark()
+            seg_start = len(self.plan)
             if self.push_to_empty(view, v_p, edge, depth):
                 rev_acc.extend(m for m in self.plan[seg_start:] if m.agent != mover)
             else:
@@ -480,7 +475,7 @@ class Workspace:
         Returns None on success, else the edge whose traversal failed (state
         restored).
         """
-        entry = self.mark()
+        entry = len(self.plan)
         occupied_idx = [i for i, v in enumerate(path) if v in self.at]
         target = len(path) - 1
         for i in reversed(occupied_idx):
@@ -518,14 +513,14 @@ class Workspace:
         for n_v in view.roadmap.adjacency[v_from]:
             if n_v in view.near or n_v == v_prime or not view.has_edge(v_from, n_v):
                 continue
-            entry_n = self.mark()
+            entry_n = len(self.plan)
             if n_v in self.at and not self._push_off(
                 g_clear, n_v, g_clear.near | {v_from, v_prime}, band, depth
             ):
                 continue
             pi_clear_n = list(self.plan[entry_n:])
 
-            entry_side = self.mark()
+            entry_side = len(self.plan)
             if not self.move_la(g_no_e, v_from, n_v, depth + 1):
                 self.rollback(entry_n)
                 continue
@@ -535,7 +530,7 @@ class Workspace:
             avoid = occupied_at_entry | band | touched | side_band
             hold = g_clear.near | {self.pos[m.agent] for m in pi_side}
 
-            entry_push = self.mark()
+            entry_push = len(self.plan)
             if not self._push_off(g_clear, v_prime, hold, avoid, depth):
                 self.rollback(entry_n)
                 continue
@@ -582,7 +577,7 @@ class Workspace:
                 if eps in self.at or eps in avoid:
                     continue
                 while (path := search.path(eps)) is not None:
-                    attempt = self.mark()
+                    attempt = len(self.plan)
                     failed = self.push_along_path(search.view, path, depth)
                     if failed is None:
                         return True
@@ -619,9 +614,8 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
     if not (math.isfinite(config.time_limit) and config.time_limit > 0):
         raise ValueError("time_limit must be positive and finite")
     t0 = time.monotonic()
-    deadline = t0 + config.time_limit
     check_instance(instance)
-    ws = Workspace(instance, mode=config.mode, deadline=deadline)
+    ws = Workspace(instance, mode=config.mode, deadline=t0 + config.time_limit)
     stats, bands, goal_hops = ws.stats, ws.bands, instance.roadmap.goal_hops
     held, hops_held = len(bands), len(goal_hops)
 
@@ -662,16 +656,15 @@ def solve(instance: Instance, config: SolverConfig | None = None) -> SolveResult
 def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
     order = config.order
     identity = tuple(range(k))
-    if isinstance(order, str) and order.startswith("perm:"):
+    if order == "index":
+        order = identity
+    elif isinstance(order, str) and order.startswith("perm:"):
         order = tuple(int(t) for t in order[len("perm:") :].split(",") if t != "")
     if isinstance(order, (tuple, list)):
         perm = tuple(order)
         if sorted(perm) != list(identity):
             raise ValueError(f"{perm!r} is not a permutation of 0..{k - 1}")
         yield perm
-        return
-    if order == "index":
-        yield identity
         return
     if order.startswith("random-restarts:"):
         parts = order.split(":")
@@ -690,10 +683,9 @@ def _orderings(config: SolverConfig, k: int) -> Iterator[tuple[int, ...]]:
             perm = list(identity)
             rng.shuffle(perm)
             t = tuple(perm)
-            if t in seen:
-                continue
-            seen.add(t)
-            yield t
+            if t not in seen:
+                seen.add(t)
+                yield t
         return
     raise ValueError(f"unknown order spec {order!r}")
 

@@ -1,6 +1,9 @@
 """Line counts of the ``mapfla`` package, per module and in total.
 
 Run ``python tests/line_counts.py [package dir]`` (default ``src/mapfla``).
+With ``--diff OTHER_DIR``, each count is followed by its change against the
+modules of ``OTHER_DIR``, say ``src/mapfla`` of a ``git archive`` of another
+commit; a module that one side lacks counts as zero there.
 Each line of a module falls in exactly one of four kinds, so the four sum to
 its line count:
 
@@ -16,6 +19,7 @@ its counts sum.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -79,12 +83,33 @@ def package_counts(package: Path = PACKAGE) -> dict[str, dict[str, int]]:
 
 
 def main(argv: list[str]) -> int:
-    per_file = package_counts(Path(argv[0]) if argv else PACKAGE)
-    total = {kind: sum(c[kind] for c in per_file.values()) for kind in KINDS}
-    width = max(map(len, [*per_file, "total"]))
-    print(f"{'module':<{width}}" + "".join(f"{kind:>11}" for kind in KINDS))
-    for name, counts in [*per_file.items(), ("total", total)]:
-        print(f"{name:<{width}}" + "".join(f"{counts[kind]:>11}" for kind in KINDS))
+    parser = argparse.ArgumentParser(description="Line counts of the mapfla package.")
+    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE)
+    parser.add_argument("--diff", metavar="OTHER_DIR", type=Path)
+    args = parser.parse_args(argv)
+    for path in (args.dir, args.diff):
+        if path is not None and not path.is_dir():
+            parser.error(f"{path} is not a directory")
+    per_file = package_counts(args.dir)
+    other = package_counts(args.diff) if args.diff is not None else {}
+    zero = dict.fromkeys(KINDS, 0)
+    names = sorted(per_file.keys() | other.keys())
+    rows = [(name, per_file.get(name, zero), other.get(name, zero)) for name in names]
+    rows.append(("total", *(
+        {kind: sum(c[kind] for c in side.values()) for kind in KINDS}
+        for side in (per_file, other)
+    )))
+
+    def cell(now: int, before: int) -> str:
+        return f"{now} ({now - before:+d})" if args.diff is not None else str(now)
+
+    width = max(map(len, [*names, "total"]))
+    col = 16 if args.diff is not None else 11
+    print(f"{'module':<{width}}" + "".join(f"{kind:>{col}}" for kind in KINDS))
+    for name, counts, base in rows:
+        print(f"{name:<{width}}" + "".join(
+            f"{cell(counts[kind], base[kind]):>{col}}" for kind in KINDS
+        ))
     return 0
 
 

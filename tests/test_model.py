@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_interference, full_table, masked_by, star_instance
+from helpers import brute_force_interference, full_table, masked_by, star_instance, toy_instance
 import mapfla.model
 from mapfla.geometry import clearance_threshold, dist, segdist
 from mapfla.model import (
     Instance,
     InterferenceCache,
     Move,
+    Roadmap,
     State,
     apply_move,
     assignment_issues,
@@ -19,7 +20,9 @@ from mapfla.model import (
     make_roadmap,
     validate_roadmap,
 )
-from mapfla.solver import GraphView
+from mapfla.oracle import joint_bfs_solve
+from mapfla.solver import GraphView, solve
+from mapfla.validator import validate_plan
 
 
 # -- interference cache -------------------------------------------------------
@@ -451,6 +454,47 @@ def test_one_edge_pass_gives_the_three_separate_passes(rm, first):
         rm.points, [(u, v) for u, v in rm.edge_list if 0 <= u < n and 0 <= v < n]
     )
     assert rm.adjacency == ref_adjacency(valid)
+
+
+TABLES = ("edge_set", "adjacency", "edge_issues", "x_order", "vertex_issues")
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_reading_any_table_stores_all_five(name):
+    """One read of any of the five tables, on a roadmap with a NaN vertex,
+    a duplicate edge, a self-loop and an edge to a missing vertex, stores
+    all five, each equal to its reference."""
+    rm = make_roadmap(
+        [(0.0, 0.0), (3.0, 0.0), (math.nan, 1.0), (6.0, 0.0)],
+        [(0, 1), (1, 0), (3, 3), (1, 7), (1, 3)],
+    )
+    getattr(rm, name)
+    tables = vars(rm)
+    assert set(TABLES) <= tables.keys()
+    valid = make_roadmap(rm.points, [(0, 1), (1, 3)])
+    assert tables["edge_set"] == ref_edge_set(rm)
+    assert tables["adjacency"] == ref_adjacency(valid)
+    assert tables["edge_issues"] == ref_edge_issues(rm)
+    assert repr(tables["x_order"]) == repr(ref_x_order(rm.points))
+    assert tables["vertex_issues"] == ref_vertex_issues(rm.points)
+
+
+def test_a_solve_its_validation_and_the_oracle_build_the_tables_once(monkeypatch):
+    """On a fresh toy, a solve, a replay of its plan and an oracle search
+    call ``Roadmap._tables`` once between them."""
+    calls = []
+    build = Roadmap._tables
+
+    def spy(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Roadmap, "_tables", spy)
+    inst = toy_instance(0)
+    result = solve(inst)
+    assert result.plan is not None and validate_plan(inst, result.plan).ok
+    assert joint_bfs_solve(inst).status == "solved"
+    assert calls == [inst.roadmap]
 
 
 def test_non_injective_starts_reported():

@@ -228,3 +228,10 @@ def test_the_line_counts_of_each_module_sum_to_its_lines(capsys):
     assert total == ["total"] + [
         str(sum(c[kind] for c in per_file.values())) for kind in line_counts.KINDS
     ]
+    # Against itself, every module and the total change by zero in every column.
+    assert line_counts.main(["--diff", str(line_counts.PACKAGE)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == [*per_file, "total"]
+    plain = [[str(c[kind]) for kind in line_counts.KINDS] for c in per_file.values()]
+    for row, counts in zip(rows, [*plain, total[1:]], strict=True):
+        assert row[1::2] == counts and row[2::2] == ["(+0)"] * len(counts), row

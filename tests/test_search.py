@@ -351,12 +351,9 @@ def test_goal_hops_grown_to_the_source_give_the_full_searchs_paths(preset, seed)
         if goal not in full:
             full[goal] = ref_bfs_dists(base, goal, frozenset())
         want, kept = full[goal], roadmap.goal_hops[goal]
-        if isinstance(kept, tuple):
-            dist, frontier, depth = kept
-            assert dist[src] == want[src]  # settled
-            assert sorted(frontier) == sorted(v for v, d in want.items() if d == depth)
-        else:
-            dist, depth = kept, n
+        dist, frontier, depth = kept
+        assert dist[src] == want[src]  # settled
+        assert sorted(frontier) == sorted(v for v, d in want.items() if d == depth)
         assert {v: d for v, d in enumerate(dist) if d < n} == {
             v: d for v, d in want.items() if d <= depth
         }

@@ -239,6 +239,30 @@ def test_config_validation():
         solve(inst, cfg(order="sideways"))
 
 
+@pytest.mark.parametrize(
+    "order, want",
+    [
+        ("index", (0, 1, 2)),
+        ("perm:0,1,2", (0, 1, 2)),
+        ((0, 1, 2), (0, 1, 2)),
+        ([0, 1, 2], (0, 1, 2)),
+        ("perm:2,0,1", (2, 0, 1)),
+    ],
+)
+def test_a_fixed_order_yields_its_one_ordering(order, want):
+    assert list(_orderings(cfg(order=order), 3)) == [want]
+
+
+@pytest.mark.parametrize(
+    "order, message",
+    [("sideways", "unknown order spec 'sideways'"), ((0, 0), "(0, 0) is not a permutation of 0..1")],
+)
+def test_bad_order_specs_give_their_messages(order, message):
+    with pytest.raises(ValueError) as err:
+        list(_orderings(cfg(order=order), 2))
+    assert str(err.value) == message
+
+
 def test_timeout_status():
     inst = fuzz_instance(3, max_vertices=60, max_agents=10)
     result = solve(inst, cfg(time_limit=1e-9))

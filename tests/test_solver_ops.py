@@ -110,6 +110,65 @@ def test_move_la_with_a_free_band_makes_one_checked_move(monkeypatch):
     assert len(cleanings) == 1 and len(ws.plan) == 5
 
 
+@pytest.mark.parametrize("refused", [1, 2, 3], ids=["traversal", "restore-1", "restore-2"])
+def test_move_la_rolls_back_a_move_refused_after_the_clearing(refused):
+    """The clearing of ``chain_clear_instance`` leaves the mover's traversal
+    and two restores to make; when ``try_move`` refuses any one of them,
+    ``move_la`` fails with the state and plan it found."""
+    inst = chain_clear_instance()
+    ws, base = make_ws(inst)
+    entry = (list(ws.plan), list(ws.pos), dict(ws.at))
+    clean, move = ws.reversable_edge_cleaning, ws.try_move
+    cleaned, calls = [], []  # the restore plan; try_move calls after it
+
+    def cleaning(*args):
+        rev = clean(*args)
+        cleaned.append(rev)
+        return rev
+
+    def try_move(*args):
+        if cleaned:
+            calls.append(args)
+            if len(calls) == refused:
+                return False
+        return move(*args)
+
+    ws.reversable_edge_cleaning, ws.try_move = cleaning, try_move
+    assert not ws.move_la(base, 0, 1)
+    assert len(cleaned[0]) == 2 and calls[0] == (0, 0, 1) and len(calls) == refused
+    assert (ws.plan, ws.pos, ws.at) == entry
+
+
+@pytest.mark.parametrize("refusals", [1, math.inf], ids=["first", "every"])
+def test_push_through_v_from_rolls_back_a_refused_walk_back(refusals):
+    """On ``sidestep_instance``, ``try_move`` refuses the mover's walk back
+    onto the hub after the interferer's escape, once or every time: the
+    next spare neighbour then gives a restore plan, or the call gives None
+    with the state and plan it found."""
+    inst = sidestep_instance()
+    ws, base = make_ws(inst)
+    entry = (list(ws.plan), list(ws.pos), dict(ws.at))
+    move = ws.try_move
+    refused = []
+
+    def try_move(agent, u, v):
+        if agent == 0 and v == 0 and len(refused) < refusals:
+            refused.append(u)
+            return False
+        return move(agent, u, v)
+
+    ws.try_move = try_move
+    ret = ws.push_through_v_from(base, 2, (0, 1), depth=1)
+    assert (ret is None) == (refusals == math.inf)
+    if ret is None:
+        assert refused == [3, 4]
+        assert (ws.plan, ws.pos, ws.at) == entry
+    else:
+        assert refused == [3]
+        assert ws.pos == [0, 3] and all(m.agent != 0 for m in ret)
+        replay(inst, ws.plan)
+
+
 def test_move_la_rejects_occupied_target_and_missing_edge():
     inst = corridor_path_instance()
     ws, base = make_ws(inst)
